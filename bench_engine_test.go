@@ -105,41 +105,25 @@ func BenchmarkRunRFHome(b *testing.B) {
 	reportInstrRate(b, instrs)
 }
 
-// benchRunBatch measures the lockstep multi-seed engine at a given batch
-// width, reporting the aggregate simulated-instruction rate summed across
-// lanes. The cell is basicmath on WT-VCache under the Thermal trace: an
-// ALU-heavy workload makes the shared decode+semantics slice large, and
-// the smooth thermal harvest keeps lanes in lockstep (outages, where lanes
-// diverge and run solo, are rare), so this cell shows the amortization
-// ceiling. Width 1 exercises the scalar fallback, so BenchmarkRunBatch8
-// vs 8× BenchmarkRunBatch1 is the lockstep speedup over sequential runs.
-func benchRunBatch(b *testing.B, width int) {
+// BenchmarkRunBatch1 measures a one-lane sim.RunBatch — the scalar
+// engine — on basicmath on WT-VCache under the Thermal trace: an
+// ALU-heavy workload under a smooth harvest with rare outages.
+func BenchmarkRunBatch1(b *testing.B) {
 	cres, p := benchCompileW(b, "basicmath", arch.WTVCache)
 	var instrs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		schemes := make([]arch.Scheme, width)
-		opt := sim.BatchOptions{Sources: make([]trace.Source, width)}
-		for j := range schemes {
-			schemes[j] = arch.New(arch.WTVCache, p)
-			opt.Sources[j] = trace.NewShared(trace.Thermal, int64(j+1))
-		}
-		results, errs, err := sim.RunBatch(cres.Linked, schemes, opt)
+		results, errs, err := sim.RunBatch(cres.Linked,
+			[]arch.Scheme{arch.New(arch.WTVCache, p)},
+			sim.BatchOptions{Sources: []trace.Source{trace.NewShared(trace.Thermal, 1)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		instrs = 0
-		for j, res := range results {
-			if errs[j] != nil {
-				b.Fatal(errs[j])
-			}
-			instrs += res.Counts.Executed
+		if errs[0] != nil {
+			b.Fatal(errs[0])
 		}
+		instrs = results[0].Counts.Executed
 	}
 	b.StopTimer()
 	reportInstrRate(b, instrs)
 }
-
-func BenchmarkRunBatch1(b *testing.B)  { benchRunBatch(b, 1) }
-func BenchmarkRunBatch8(b *testing.B)  { benchRunBatch(b, 8) }
-func BenchmarkRunBatch32(b *testing.B) { benchRunBatch(b, 32) }

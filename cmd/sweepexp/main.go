@@ -142,7 +142,7 @@ var experiments = []experiment{
 // sweep multiplies the whole Figure 6 matrix by -seeds, so it is not part
 // of 'all'.
 var extraExperiments = []experiment{
-	{"seedsweep", "Monte-Carlo seed sweep: Fig 6 matrix × -seeds timelines, batched (mean ±95% CI)",
+	{"seedsweep", "Monte-Carlo seed sweep: Fig 6 matrix × -seeds timelines (mean ±95% CI)",
 		func(c *exp.Context) error { _, err := c.Sweep(); return err }},
 }
 
@@ -153,7 +153,6 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	seed := flag.Int64("seed", 1, "power-trace seed")
 	seeds := flag.Int("seeds", 1, "seed count for -exp seedsweep: timelines seed..seed+seeds-1 per cell")
-	batch := flag.Int("batch", 8, "lockstep batch width for -exp seedsweep")
 	only := flag.String("only", "", "comma-separated workload names to restrict the sweep to")
 	metricsFile := flag.String("metrics", "", "write metrics aggregated across every simulated run to this file ('-' = stdout)")
 	traceDir := flag.String("tracedir", "", "record one JSONL telemetry stream per simulated run into this directory")
@@ -200,7 +199,6 @@ func main() {
 	ctx.Scale = *scale
 	ctx.Seed = *seed
 	ctx.Seeds = *seeds
-	ctx.BatchWidth = *batch
 	if *only != "" {
 		ctx.Only = strings.Split(*only, ",")
 	}

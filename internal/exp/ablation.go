@@ -44,11 +44,11 @@ func (c *Context) Ablation() (*AblationResult, error) {
 	c.printf("%-14s %12s %12s\n", "variant", "outage-free", "RFOffice")
 	for _, v := range variants {
 		p := v.mod(c.Params)
-		free, err := c.runMatrix([]arch.Kind{v.kind}, nil, p)
+		free, err := c.runMatrix([]arch.Kind{v.kind}, nil, p, 1)
 		if err != nil {
 			return nil, err
 		}
-		out, err := c.runMatrix([]arch.Kind{v.kind}, &pr, p)
+		out, err := c.runMatrix([]arch.Kind{v.kind}, &pr, p, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -44,8 +44,8 @@ type Context struct {
 	// Seeds is the Monte-Carlo sample count for SeedSweep: timelines
 	// Seed..Seed+Seeds-1 run per cell. Values below 1 mean 1.
 	Seeds int
-	// BatchWidth is the lockstep lane count SeedSweep batches seeds with;
-	// values below 1 select the default width 8.
+	// Deprecated: BatchWidth is ignored. Every seed of a SeedSweep runs
+	// as its own matrix cell on the scalar engine.
 	BatchWidth int
 	// Only, when non-nil, further restricts the sweep to these workload
 	// names. Names that match nothing are simply absent; an empty
@@ -98,17 +98,13 @@ func (c *Context) ctx() context.Context {
 }
 
 // CellError is the structured failure of one matrix cell: a simulation
-// error or a recovered worker panic, carrying everything needed to
-// reproduce the cell. errors.As against *CellError recovers the identity;
-// Unwrap exposes the cause (including context.Canceled for interrupted
-// cells).
+// error or a recovered worker panic, carrying the cell's identity —
+// everything needed to reproduce it. errors.As against *CellError
+// recovers the identity; Unwrap exposes the cause (including
+// context.Canceled for interrupted cells).
 type CellError struct {
-	Workload string
-	Scheme   string
-	Profile  string // trace profile name, or "outage-free"
-	Seed     int64
-	ParamsFP string // config.Params.Fingerprint()
-	Err      error
+	journal.Cell
+	Err error
 	// Stack is the worker's stack at recovery time for panicking cells,
 	// nil for ordinary errors.
 	Stack []byte
@@ -182,16 +178,19 @@ type cell struct {
 	Kind     arch.Kind
 }
 
-// Matrix holds the results of workloads × schemes under one configuration.
+// Matrix holds the results of workloads × schemes × seeds under one
+// configuration.
 type Matrix struct {
-	Kinds   []arch.Kind
-	Names   []string
-	Results map[cell]*sim.Result
+	Kinds []arch.Kind
+	Names []string
+	// Results holds each (workload, kind) cell's runs in seed order.
+	Results map[cell][]*sim.Result
 }
 
-// Get returns the result for (workload, kind).
+// Get returns the result for (workload, kind) under the matrix's first
+// seed — the only one a figure runs.
 func (m *Matrix) Get(name string, k arch.Kind) *sim.Result {
-	return m.Results[cell{name, k}]
+	return m.Results[cell{name, k}][0]
 }
 
 // Speedup returns kind's speedup over NVP for one workload.
@@ -220,32 +219,55 @@ func profileName(profile *trace.Profile) string {
 	return profile.String()
 }
 
-// matrixJob is one cell's work order.
-type matrixJob struct {
-	w workloads.Workload
-	k arch.Kind
+// withNVP returns NVP (the baseline every figure normalizes to) followed
+// by kinds without duplicates, so a caller listing NVP explicitly does
+// not double-run it.
+func withNVP(kinds []arch.Kind) []arch.Kind {
+	all := []arch.Kind{arch.NVP}
+	seen := map[arch.Kind]bool{arch.NVP: true}
+	for _, k := range kinds {
+		if !seen[k] {
+			seen[k] = true
+			all = append(all, k)
+		}
+	}
+	return all
 }
 
-// cellID builds the journal identity of one cell under this context.
-func (c *Context) cellID(j matrixJob, pname, fp string) journal.Cell {
+// CellID builds the identity of one cell under this context's scale and
+// the engine revision: workload, scheme, supply (nil = outage-free),
+// power-trace seed and params fingerprint fp (config.Params.Fingerprint).
+// It is the content-hash key of the journal and the result store, and
+// the identity a *CellError reports.
+func (c *Context) CellID(workload string, kind arch.Kind, profile *trace.Profile, seed int64, fp string) journal.Cell {
 	return journal.Cell{
-		Workload: j.w.Name,
+		Workload: workload,
 		Scale:    c.Scale,
-		Scheme:   j.k.String(),
-		Profile:  pname,
-		Seed:     c.Seed,
+		Scheme:   kind.String(),
+		Profile:  profileName(profile),
+		Seed:     seed,
 		ParamsFP: fp,
 		Engine:   sim.EngineVersion,
 	}
 }
 
-// runMatrix executes every workload on NVP plus the requested kinds, in
-// parallel, under fresh per-run cursors of the same trace profile (nil =
-// outage-free). Deterministic: each run sees the identical timeline.
+// matrixJob is one cell's work order: what to run and the identity —
+// seed included — it runs, journals and fails under.
+type matrixJob struct {
+	w  workloads.Workload
+	k  arch.Kind
+	id journal.Cell
+}
+
+// runMatrix executes every workload on NVP plus the requested kinds under
+// `seeds` power-trace timelines each (seeds c.Seed through
+// c.Seed+seeds-1; the figures run one), in parallel, under fresh per-run
+// cursors of the same trace profile (nil = outage-free). Deterministic:
+// every scheme sees the identical timeline for a given seed.
 //
 // Resilience properties (see docs/ROBUSTNESS.md):
 //   - Each worker isolates panics: one bad cell fails one cell, as a
-//     *CellError carrying workload/scheme/supply/params identity plus the
+//     *CellError carrying the cell's identity (seed included) plus the
 //     recovered stack, while healthy cells complete. errors.Join reports
 //     every failure.
 //   - A cancelled context stops dispatch, aborts in-flight cells at their
@@ -254,7 +276,7 @@ func (c *Context) cellID(j matrixJob, pname, fp string) journal.Cell {
 //   - With a journal attached, completed cells are durable and re-runs
 //     skip them, so any interruption (cancel, panic, kill -9) resumes to
 //     a byte-identical result.
-func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params) (*Matrix, error) {
+func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params, seeds int) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
 	}
@@ -262,26 +284,19 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	if len(wl) == 0 {
 		return nil, errors.New("exp: empty workload set — nothing to run")
 	}
-	m := &Matrix{Kinds: kinds, Results: map[cell]*sim.Result{}}
+	m := &Matrix{Kinds: kinds, Results: map[cell][]*sim.Result{}}
 	for _, w := range wl {
 		m.Names = append(m.Names, w.Name)
 	}
 
-	// NVP (the baseline every figure normalizes to) always runs; requested
-	// kinds are deduplicated so a caller listing NVP explicitly does not
-	// double-run it.
-	allKinds := []arch.Kind{arch.NVP}
-	seen := map[arch.Kind]bool{arch.NVP: true}
-	for _, k := range kinds {
-		if !seen[k] {
-			seen[k] = true
-			allKinds = append(allKinds, k)
-		}
-	}
+	allKinds, fp := withNVP(kinds), p.Fingerprint()
+	// A cell's seeds are adjacent jobs, so its results are one subslice.
 	var jobs []matrixJob
 	for _, w := range wl {
 		for _, k := range allKinds {
-			jobs = append(jobs, matrixJob{w, k})
+			for s := 0; s < seeds; s++ {
+				jobs = append(jobs, matrixJob{w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp)})
+			}
 		}
 	}
 
@@ -291,8 +306,6 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 		ctx, cancel = c.Chaos.Arm(ctx)
 		defer cancel()
 	}
-	pname := profileName(profile)
-	fp := p.Fingerprint()
 
 	// Live tracking: register the matrix's cells before the journal pass
 	// so /progress sees skips as skips, not as missing cells. Guarded —
@@ -302,7 +315,7 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	if c.Tracker != nil {
 		metas := make([]obs.CellMeta, len(jobs))
 		for i, j := range jobs {
-			metas[i] = obs.CellMeta{Workload: j.w.Name, Scheme: j.k.String(), Profile: pname}
+			metas[i] = obs.CellMeta{Workload: j.id.Workload, Scheme: j.id.Scheme, Profile: j.id.Profile}
 		}
 		trkBase = c.Tracker.AddCells(metas)
 	}
@@ -315,7 +328,7 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	journalHits := 0
 	for idx, j := range jobs {
 		if c.Journal != nil {
-			if rec, ok := c.Journal.Lookup(c.cellID(j, pname, fp)); ok {
+			if rec, ok := c.Journal.Lookup(j.id); ok {
 				results[idx] = rec.Result()
 				journalHits++
 				c.Tracker.Skip(trkBase + idx)
@@ -354,13 +367,12 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 				// every undone cell reports the cancellation and the pool
 				// winds down promptly.
 				if err := ctx.Err(); err != nil {
-					errs[idx] = &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-						Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: err}
+					errs[idx] = &CellError{Cell: j.id, Err: err}
 					c.Tracker.Fail(i, trkBase+idx, err, false)
 					continue
 				}
 				c.Tracker.Start(i, trkBase+idx)
-				res, err := c.runCell(ctx, j, p, profile, pname, fp)
+				res, err := c.runCell(ctx, j, p, profile)
 				if err != nil {
 					errs[idx] = err
 					if c.Tracker != nil {
@@ -371,13 +383,12 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 					continue
 				}
 				if c.Journal != nil {
-					if err := c.Journal.Append(c.cellID(j, pname, fp), journal.FromResult(res)); err != nil {
+					if err := c.Journal.Append(j.id, journal.FromResult(res)); err != nil {
 						// Durability is part of the contract when a journal
 						// is attached: a cell whose proof cannot be written
 						// is reported failed (its result is still returned
 						// in-memory via results for this run).
-						errs[idx] = &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-							Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: err}
+						errs[idx] = &CellError{Cell: j.id, Err: err}
 					}
 				}
 				results[idx] = res
@@ -451,8 +462,8 @@ feed:
 	if err := errors.Join(real...); err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		m.Results[cell{j.w.Name, j.k}] = results[i]
+	for i := 0; i < len(jobs); i += seeds {
+		m.Results[cell{jobs[i].w.Name, jobs[i].k}] = results[i : i+seeds]
 	}
 	return m, nil
 }
@@ -461,14 +472,10 @@ feed:
 // panicking simulation (or injected chaos fault) is converted into a
 // *CellError with the recovered value and stack, so the rest of the
 // matrix is unaffected.
-func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, profile *trace.Profile, pname, fp string) (res *sim.Result, err error) {
-	mkErr := func(cause error, stack []byte) *CellError {
-		return &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-			Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: cause, Stack: stack}
-	}
+func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, profile *trace.Profile) (res *sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, mkErr(fmt.Errorf("worker panic: %v", v), debug.Stack())
+			res, err = nil, &CellError{Cell: j.id, Err: fmt.Errorf("worker panic: %v", v), Stack: debug.Stack()}
 		}
 	}()
 	if c.Chaos != nil {
@@ -482,11 +489,11 @@ func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, pro
 	}
 	var src trace.Source
 	if profile != nil {
-		src = trace.NewShared(*profile, c.Seed)
+		src = trace.NewShared(*profile, j.id.Seed)
 	}
 	res, runErr := c.runJob(runCtx, j.w, j.k, p, src)
 	if runErr != nil {
-		return nil, mkErr(runErr, nil)
+		return nil, &CellError{Cell: j.id, Err: runErr}
 	}
 	return res, nil
 }

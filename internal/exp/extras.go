@@ -19,13 +19,13 @@ type VminResult struct {
 // The NVP baseline keeps Vmin = 2.8 V in both runs, as in the footnote.
 func (c *Context) Vmin() (*VminResult, error) {
 	pr := trace.RFOffice
-	base, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &pr, c.Params)
+	base, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &pr, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
 	p := c.Params
 	p.SweepVmin = 1.8
-	low, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &pr, p)
+	low, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &pr, p, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -51,12 +51,12 @@ type WTResult struct {
 
 // WT evaluates the write-through baseline.
 func (c *Context) WT() (*WTResult, error) {
-	free, err := c.runMatrix([]arch.Kind{arch.WTVCache}, nil, c.Params)
+	free, err := c.runMatrix([]arch.Kind{arch.WTVCache}, nil, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
 	pr := trace.RFOffice
-	out, err := c.runMatrix([]arch.Kind{arch.WTVCache}, &pr, c.Params)
+	out, err := c.runMatrix([]arch.Kind{arch.WTVCache}, &pr, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ type SpeedupResult struct {
 
 // speedupFigure runs the common shape of Figures 5, 6 and 7.
 func (c *Context) speedupFigure(title string, profile *trace.Profile) (*SpeedupResult, error) {
-	m, err := c.runMatrix(evalKinds, profile, c.Params)
+	m, err := c.runMatrix(evalKinds, profile, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func (c *Context) Fig10() (*Fig10Result, error) {
 	c.printf("Figure 10 — geomean speedups over NVP per power trace\n")
 	c.printf("%-10s %12s %10s %12s\n", "trace", "ReplayCache", "NVSRAM", "SweepCache")
 	for _, pr := range trace.Profiles() {
-		m, err := c.runMatrix(fig10Kinds, &pr, c.Params)
+		m, err := c.runMatrix(fig10Kinds, &pr, c.Params, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ type ParallelismResult struct {
 func (c *Context) Parallelism() (*ParallelismResult, error) {
 	kinds := []arch.Kind{arch.SweepEmptyBit}
 	eff := func(profile *trace.Profile) (float64, error) {
-		m, err := c.runMatrix(kinds, profile, c.Params)
+		m, err := c.runMatrix(kinds, profile, c.Params, 1)
 		if err != nil {
 			return 0, err
 		}

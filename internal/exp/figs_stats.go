@@ -18,7 +18,7 @@ type Fig12Result struct {
 // Fig12 reproduces Figure 12: CDFs of dynamic region size and store count
 // per region across all benchmarks (SweepCache, outage-free, threshold 64).
 func (c *Context) Fig12() (*Fig12Result, error) {
-	m, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, nil, c.Params)
+	m, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, nil, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ type ICountResult struct {
 // ICount reproduces Section 6.5: ReplayCache executes ~1.64x SweepCache's
 // instructions; SweepCache ~15% more than NVSRAM.
 func (c *Context) ICount() (*ICountResult, error) {
-	m, err := c.runMatrix([]arch.Kind{arch.ReplayCache, arch.NVSRAM, arch.SweepEmptyBit}, nil, c.Params)
+	m, err := c.runMatrix([]arch.Kind{arch.ReplayCache, arch.NVSRAM, arch.SweepEmptyBit}, nil, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ var fig13Kinds = []arch.Kind{arch.ReplayCache, arch.NVSRAM, arch.SweepEmptyBit}
 // Fig13 reproduces Figure 13 and the Section 6.6 totals under RFOffice.
 func (c *Context) Fig13() (*Fig13Result, error) {
 	pr := trace.RFOffice
-	m, err := c.runMatrix(fig13Kinds, &pr, c.Params)
+	m, err := c.runMatrix(fig13Kinds, &pr, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (c *Context) Fig15() (*Fig15Result, error) {
 	c.printf("Figure 15 — cache miss rate (%%) per trace\n")
 	c.printf("%-10s %12s %10s %10s %12s\n", "trace", "ReplayCache", "NVSRAM", "NVSRAM-E", "SweepCache")
 	for _, pr := range trace.Profiles() {
-		m, err := c.runMatrix(fig15Kinds, &pr, c.Params)
+		m, err := c.runMatrix(fig15Kinds, &pr, c.Params, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func (c *Context) Fig16() (*Fig16Result, error) {
 	c.printf("Figure 16 — NVM writes normalized to NVSRAM\n")
 	c.printf("%-10s %12s %10s %10s %12s\n", "trace", "ReplayCache", "NVSRAM", "NVSRAM-E", "SweepCache")
 	for _, pr := range trace.Profiles() {
-		m, err := c.runMatrix(fig15Kinds, &pr, c.Params)
+		m, err := c.runMatrix(fig15Kinds, &pr, c.Params, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +237,7 @@ func (c *Context) Degradation() (*DegradationResult, error) {
 	run := func(extra float64) (float64, error) {
 		p := c.Params
 		p.VBackupBoost = extra
-		m, err := c.runMatrix([]arch.Kind{arch.NVSRAM}, &pr, p)
+		m, err := c.runMatrix([]arch.Kind{arch.NVSRAM}, &pr, p, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -285,7 +285,7 @@ func (c *Context) Threshold() (*ThresholdResult, error) {
 	for _, th := range ths {
 		p := c.Params
 		p.StoreThreshold = th
-		m, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, nil, p)
+		m, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, nil, p, 1)
 		if err != nil {
 			return nil, err
 		}

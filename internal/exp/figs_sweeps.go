@@ -28,7 +28,7 @@ func (c *Context) Fig8() (*CacheSweepResult, error) {
 	for _, sz := range sizes {
 		p := c.Params
 		p.CacheSize = sz
-		m, err := c.runMatrix(sweepKinds, &pr, p)
+		m, err := c.runMatrix(sweepKinds, &pr, p, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func (c *Context) capacitorSweep(p0 config.Params, title string) (*CapacitorSwee
 	// Fixed 100 nF NVP baseline for the "absolute" curve.
 	pBase := p0
 	pBase.CapacitorF = 100e-9
-	mBase, err := c.runMatrix(nil, &pr, pBase)
+	mBase, err := c.runMatrix(nil, &pr, pBase, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (c *Context) capacitorSweep(p0 config.Params, title string) (*CapacitorSwee
 	for _, cf := range caps {
 		p := p0
 		p.CapacitorF = cf
-		m, err := c.runMatrix(sweepKinds, &pr, p)
+		m, err := c.runMatrix(sweepKinds, &pr, p, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +223,7 @@ func (c *Context) Fig14() (*Fig14Result, error) {
 	for _, cf := range caps {
 		p := c.Params
 		p.CapacitorF = cf
-		m, err := c.runMatrix(kinds, &pr, p)
+		m, err := c.runMatrix(kinds, &pr, p, 1)
 		if err != nil {
 			return nil, err
 		}

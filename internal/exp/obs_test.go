@@ -30,14 +30,14 @@ func TestRunMatrixTracker(t *testing.T) {
 	// Reference run without a tracker.
 	ref, kinds := trackedCtx()
 	ref.Tracker = nil
-	refM, err := ref.runMatrix(kinds, nil, ref.Params)
+	refM, err := ref.runMatrix(kinds, nil, ref.Params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c, kinds := trackedCtx()
 	c.Tracker.BeginPhase("test")
-	m, err := c.runMatrix(kinds, nil, c.Params)
+	m, err := c.runMatrix(kinds, nil, c.Params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	c1, kinds := trackedCtx()
 	c1.Tracker = nil
 	c1.Journal = j1
-	if _, err := c1.runMatrix(kinds, nil, c1.Params); err != nil {
+	if _, err := c1.runMatrix(kinds, nil, c1.Params, 1); err != nil {
 		t.Fatal(err)
 	}
 	j1.Close()
@@ -93,7 +93,7 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	c2.Metrics = telemetry.NewSnapshot()
 	st := j2.Stats()
 	c2.Tracker.SetJournalStats(st.Loaded, st.Corrupt)
-	if _, err := c2.runMatrix(kinds, nil, c2.Params); err != nil {
+	if _, err := c2.runMatrix(kinds, nil, c2.Params, 1); err != nil {
 		t.Fatal(err)
 	}
 	p := c2.Tracker.Progress()
@@ -118,7 +118,7 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 func TestRunMatrixTrackerPanics(t *testing.T) {
 	c, kinds := trackedCtx()
 	c.Chaos = chaos.New(chaos.Config{Seed: 7, PanicProb: 1})
-	if _, err := c.runMatrix(kinds, nil, c.Params); err == nil {
+	if _, err := c.runMatrix(kinds, nil, c.Params, 1); err == nil {
 		t.Fatal("all-panic run reported success")
 	}
 	p := c.Tracker.Progress()
@@ -140,7 +140,7 @@ func TestRunMatrixTrackerPanics(t *testing.T) {
 func TestRunMatrixTrackerTimeouts(t *testing.T) {
 	c, kinds := trackedCtx()
 	c.CellTimeout = time.Nanosecond
-	if _, err := c.runMatrix(kinds, nil, c.Params); err == nil {
+	if _, err := c.runMatrix(kinds, nil, c.Params, 1); err == nil {
 		t.Fatal("all-timeout run reported success")
 	}
 	p := c.Tracker.Progress()

@@ -23,7 +23,7 @@ var recoveryKinds = []arch.Kind{arch.NVP, arch.NVSRAM, arch.NVSRAME, arch.Replay
 // Recovery measures per-outage restore latency under RFOffice.
 func (c *Context) Recovery() (*RecoveryResult, error) {
 	pr := trace.RFOffice
-	m, err := c.runMatrix(recoveryKinds, &pr, c.Params)
+	m, err := c.runMatrix(recoveryKinds, &pr, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/journal"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // resilienceCtx is the shared quick configuration: 8 workloads x 8
@@ -35,19 +34,15 @@ func resilienceCtx() (*Context, []arch.Kind, *trace.Profile) {
 func cleanDigests(t *testing.T) (map[journal.Cell]string, *Matrix) {
 	t.Helper()
 	c, kinds, pr := resilienceCtx()
-	m, err := c.runMatrix(kinds, pr, c.Params)
+	m, err := c.runMatrix(kinds, pr, c.Params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := c.Params.Fingerprint()
 	want := map[journal.Cell]string{}
 	for _, name := range m.Names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, k := range kinds {
-			id := c.cellID(matrixJob{w: w, k: k}, profileName(pr), fp)
+			id := c.CellID(name, k, pr, c.Seed, fp)
 			want[id] = journal.FromResult(m.Get(name, k)).Digest()
 		}
 	}
@@ -73,7 +68,7 @@ func TestKillResumeInvariant(t *testing.T) {
 	c1, kinds, pr := resilienceCtx()
 	c1.Journal = j1
 	c1.Chaos = chaos.New(chaos.Config{Seed: 11, CancelAfter: 20})
-	if _, err := c1.runMatrix(kinds, pr, c1.Params); !errors.Is(err, context.Canceled) {
+	if _, err := c1.runMatrix(kinds, pr, c1.Params, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled in the chain", err)
 	}
 	j1.Close()
@@ -99,7 +94,7 @@ func TestKillResumeInvariant(t *testing.T) {
 	}
 	c2, kinds, pr := resilienceCtx()
 	c2.Journal = j2
-	m, err := c2.runMatrix(kinds, pr, c2.Params)
+	m, err := c2.runMatrix(kinds, pr, c2.Params, 1)
 	if err != nil {
 		t.Fatalf("resume run failed: %v", err)
 	}
@@ -156,7 +151,7 @@ func TestPanicIsolationAndConvergence(t *testing.T) {
 		if attempt > 20 {
 			t.Fatalf("matrix did not converge in 20 attempts; last error: %v", lastErr)
 		}
-		m, err := c.runMatrix(kinds, pr, c.Params)
+		m, err := c.runMatrix(kinds, pr, c.Params, 1)
 		if err == nil {
 			if m == nil || len(m.Results) == 0 {
 				t.Fatal("converged run returned an empty matrix")
@@ -198,13 +193,13 @@ func TestRunMatrixNoGoroutineLeak(t *testing.T) {
 	// Cancelled mid-run.
 	c, kinds, pr := resilienceCtx()
 	c.Chaos = chaos.New(chaos.Config{Seed: 1, CancelAfter: 5})
-	if _, err := c.runMatrix(kinds, pr, c.Params); err == nil {
+	if _, err := c.runMatrix(kinds, pr, c.Params, 1); err == nil {
 		t.Fatal("cancelled run reported success")
 	}
 	// Every cell panicking.
 	c2, kinds, pr := resilienceCtx()
 	c2.Chaos = chaos.New(chaos.Config{Seed: 2, PanicProb: 1})
-	if _, err := c2.runMatrix(kinds, pr, c2.Params); err == nil {
+	if _, err := c2.runMatrix(kinds, pr, c2.Params, 1); err == nil {
 		t.Fatal("all-panic run reported success")
 	}
 	// Pre-cancelled context.
@@ -212,7 +207,7 @@ func TestRunMatrixNoGoroutineLeak(t *testing.T) {
 	cancel()
 	c3, kinds, pr := resilienceCtx()
 	c3.Ctx = ctx
-	if _, err := c3.runMatrix(kinds, pr, c3.Params); !errors.Is(err, context.Canceled) {
+	if _, err := c3.runMatrix(kinds, pr, c3.Params, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: err = %v", err)
 	}
 
@@ -235,13 +230,13 @@ func TestRunMatrixInputValidation(t *testing.T) {
 	c, kinds, pr := resilienceCtx()
 	p := c.Params
 	p.CapacitorF = -1
-	if _, err := c.runMatrix(kinds, pr, p); err == nil || !strings.Contains(err.Error(), "config:") {
+	if _, err := c.runMatrix(kinds, pr, p, 1); err == nil || !strings.Contains(err.Error(), "config:") {
 		t.Errorf("malformed params: err = %v", err)
 	}
 
 	c2, kinds, pr := resilienceCtx()
 	c2.Only = []string{"no-such-workload"}
-	if _, err := c2.runMatrix(kinds, pr, c2.Params); err == nil || !strings.Contains(err.Error(), "empty workload") {
+	if _, err := c2.runMatrix(kinds, pr, c2.Params, 1); err == nil || !strings.Contains(err.Error(), "empty workload") {
 		t.Errorf("empty workload set: err = %v", err)
 	}
 }
@@ -253,7 +248,7 @@ func TestCellTimeout(t *testing.T) {
 	c, _, pr := resilienceCtx()
 	c.Only = []string{"sha"}
 	c.CellTimeout = time.Nanosecond
-	_, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, pr, c.Params)
+	_, err := c.runMatrix([]arch.Kind{arch.SweepEmptyBit}, pr, c.Params, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded in the chain", err)
 	}

@@ -12,21 +12,19 @@ import (
 )
 
 // sweepCtx is a one-workload sweep configuration small enough for tests.
-func sweepCtx(seeds, width int) *Context {
+func sweepCtx(seeds int) *Context {
 	c := DefaultContext()
 	c.Only = []string{"sha"}
 	c.Seeds = seeds
-	c.BatchWidth = width
 	return c
 }
 
 // TestSeedSweepMatchesScalarMatrix pins the sweep's per-seed results to
-// the scalar matrix path: for every seed, the sweep's speedup sample must
-// equal the single-seed matrix run under that seed, because the batched
-// lanes are bit-exact against scalar runs.
+// the single-seed matrix path: for every seed, the sweep's speedup sample
+// must equal the figure matrix run under that seed.
 func TestSeedSweepMatchesScalarMatrix(t *testing.T) {
 	const seeds = 3
-	c := sweepCtx(seeds, 2) // width 2 forces a multi-chunk cell
+	c := sweepCtx(seeds)
 	r, err := c.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +39,7 @@ func TestSeedSweepMatchesScalarMatrix(t *testing.T) {
 		mc := DefaultContext()
 		mc.Only = []string{"sha"}
 		mc.Seed = s
-		m, err := mc.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &[]trace.Profile{trace.RFHome}[0], mc.Params)
+		m, err := mc.runMatrix([]arch.Kind{arch.SweepEmptyBit}, &[]trace.Profile{trace.RFHome}[0], mc.Params, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +67,7 @@ func TestSeedSweepPerSeedErrors(t *testing.T) {
 	}
 	jn.Close() // sabotage: appends now fail, lookups still work
 
-	c := sweepCtx(2, 8)
+	c := sweepCtx(2)
 	c.Journal = jn
 	_, err = c.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err == nil {
@@ -106,7 +104,7 @@ func TestSeedSweepPerSeedErrors(t *testing.T) {
 // cancellation the interrupted seeds collapse into one summary error
 // (errors.Is-able as context.Canceled) instead of seeds× noise.
 func TestSeedSweepCanceledCollapses(t *testing.T) {
-	c := sweepCtx(3, 8)
+	c := sweepCtx(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c.Ctx = ctx
@@ -129,7 +127,7 @@ func TestSeedSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sweepCtx(2, 8)
+	c := sweepCtx(2)
 	c.Journal = jn
 	r1, err := c.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err != nil {
@@ -146,7 +144,7 @@ func TestSeedSweepJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jn2.Close()
-	c2 := sweepCtx(3, 8)
+	c2 := sweepCtx(3)
 	c2.Journal = jn2
 	r2, err := c2.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err != nil {

@@ -5,26 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
-
-// CellID builds the journal/store identity of one (workload, scheme,
-// profile) cell under this context's scale, seed, params, and engine
-// revision — the content-hash key the result store memoizes on.
-func (c *Context) CellID(workload string, kind arch.Kind, profile *trace.Profile) journal.Cell {
-	return journal.Cell{
-		Workload: workload,
-		Scale:    c.Scale,
-		Scheme:   kind.String(),
-		Profile:  profileName(profile),
-		Seed:     c.Seed,
-		ParamsFP: c.Params.Fingerprint(),
-		Engine:   sim.EngineVersion,
-	}
-}
 
 // RunSingle executes one cell with the full matrix-cell machinery —
 // parameter validation, panic isolation (a panicking simulation comes
@@ -44,6 +28,6 @@ func (c *Context) RunSingle(ctx context.Context, workload string, kind arch.Kind
 	if ctx == nil {
 		ctx = c.ctx()
 	}
-	return c.runCell(ctx, matrixJob{w, kind}, c.Params, profile,
-		profileName(profile), c.Params.Fingerprint())
+	id := c.CellID(workload, kind, profile, c.Seed, c.Params.Fingerprint())
+	return c.runCell(ctx, matrixJob{w, kind, id}, c.Params, profile)
 }

@@ -256,7 +256,7 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 		s.reg.Counter("service.bad_requests").Add(1)
 		return nil, err
 	}
-	id := spec.ec.CellID(spec.workload, spec.kind, spec.profile)
+	id := spec.ec.CellID(spec.workload, spec.kind, spec.profile, spec.ec.Seed, spec.ec.Params.Fingerprint())
 	start := time.Now()
 	rec, tier, err := s.store.GetOrCompute(ctx, id, func(ctx context.Context) (*journal.Record, error) {
 		return s.simulate(ctx, spec, id)

@@ -1,45 +1,12 @@
-// Batched multi-seed engine: RunBatch advances N runs of the same
-// program on the same scheme configuration in lockstep, where the runs
-// differ only in power-trace seed. Decode/dispatch and register
-// semantics are paid once per instruction per batch on a shared pack
-// core (cpu.RunLockstep); each lane keeps full private accounting —
-// capacitor, ledger, trace cursor, memory hierarchy, epoch state — so
-// every lane's result is bit-identical to a scalar Run with its seed
-// (TestRunBatchMatchesScalar pins this across the scheme matrix).
-//
-// Divergence model: lanes leave the pack at power events. A lane whose
-// restore lands exactly on the pack state (JIT schemes restoring the
-// snapshot they just took) rejoins instantly; otherwise the lane replays
-// privately — running literally the scalar engine's loops — until its
-// (PC, regs) reach the pack state again, then re-enters the pack, mid-
-// epoch or at a boundary. The pack pauses while stopped lanes settle and
-// replay, so actives never desynchronize. A lane that halts, errors, or
-// exhausts its budget drops out; the pack continues while any lane
-// remains.
-//
-// Zero-budget stretches (epochBudget == 0: near-threshold voltage,
-// harvest exceeding run power, segment tails) must settle the capacitor
-// after every instruction. Those never route through the pack: lanes
-// park on their own live cores and advance in precise *bursts* — rounds
-// where every parked lane runs the scalar boundary checks and then one
-// scalar stepPrecise. Converged lanes execute the same instruction, so
-// they stay converged without any pack traffic; the pack is re-seeded
-// from the shared round-start state each round, which preserves the
-// invariant that no lane is ever ahead of the pack (anything that leaves
-// a burst — power cycle, halt, open epoch — leaves at or behind the
-// round start). See docs/PERFORMANCE.md.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/arch"
-	"repro/internal/cpu"
 	"repro/internal/ir"
-	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -47,73 +14,20 @@ import (
 // Options' semantics and apply to every lane uniformly.
 type BatchOptions struct {
 	// Sources holds one power trace per lane (same length as the scheme
-	// slice). Batched runs are always harvested — an outage-free run has
-	// no seed to sweep, so there is nothing to batch.
-	Sources []trace.Source
-	// Ctx, when non-nil, cancels the batch: every still-active lane
-	// returns a *CanceledError. Canceled lanes stop at a pack pause, not
-	// at the scalar engine's poll points, so their partial state is not
-	// bit-comparable to a canceled scalar run.
+	// slice).
+	Sources         []trace.Source
 	Ctx             context.Context
 	MaxInstructions uint64
 	StagnationNs    int64
 	RegionHistMax   int
 }
 
-// packChunkSlots bounds the pack's advance while any live lane is
-// outside it (parked or replaying): stragglers then chase a short,
-// bounded distance instead of replaying arbitrarily far stepwise.
-const packChunkSlots = 48
-
-// Lane replay/pack modes.
-const (
-	laneIdle     = iota // between pack entries, inside boundary processing
-	laneLockstep        // in the pack with an open epoch
-	laneParked          // converged at the pack on a live core, zero budget
-	laneSolo            // behind the pack, replaying privately to converge
-	laneDone            // halted, result final
-	laneFailed          // errored, error final
-)
-
-// blane is one lane of a batch: a full scalar runner (used verbatim for
-// boundary events and divergent replay) plus the pack-side accounting
-// view and the bookkeeping that relates the two.
-type blane struct {
-	idx  int
-	r    *runner
-	mode int
-	err  error
-	// extra is the lane's instruction-count surplus over the pack —
-	// instructions the lane re-executed during divergent replays. While
-	// the lane is in the pack, its true counts are pack counts + extra.
-	extra cpu.Counts
-	ls    cpu.LockstepLane
-	// epochStartNow is the lane clock when its open epoch began; the
-	// settlement integrates harvest over ls.Now - epochStartNow.
-	epochStartNow int64
-}
-
-// batch is the coordinator state shared across one RunBatch call.
-type batch struct {
-	l     *ir.Linked
-	pack  *cpu.CPU
-	ctl   cpu.LockstepControl
-	lanes []*blane
-	burst []*blane // scratch: the parked-lane set of the current burst
-	jit   bool
-	max   uint64
-
-	ctx             context.Context
-	cancelCountdown int
-}
-
-// RunBatch executes the linked program on every scheme in lockstep,
-// lane i drawing power from opt.Sources[i]. The schemes must be distinct
-// instances of the same configuration (same Name and Params) — lanes
-// may differ only in power-trace seed, which is what makes the shared
-// register trajectory sound. It returns one Result and one error slot
-// per lane (results[i] is meaningful even when errs[i] is non-nil, as
-// with Run), plus a batch-level configuration error.
+// RunBatch runs the linked program once per scheme, lane i drawing power
+// from opt.Sources[i], each lane through Run. The schemes must be
+// distinct instances of the same configuration (same Name and Params):
+// lanes differ only in their power trace. It returns one Result and one
+// error slot per lane (results[i] is meaningful even when errs[i] is
+// non-nil, as with Run), plus a batch-level configuration error.
 func RunBatch(l *ir.Linked, schemes []arch.Scheme, opt BatchOptions) ([]*Result, []error, error) {
 	n := len(schemes)
 	if n == 0 {
@@ -141,551 +55,22 @@ func RunBatch(l *ir.Linked, schemes []arch.Scheme, opt BatchOptions) ([]*Result,
 			}
 		}
 	}
-	laneOpt := func(i int) Options {
-		return Options{
+
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	for i, s := range schemes {
+		res, err := Run(l, s, Options{
 			Source:          opt.Sources[i],
 			Ctx:             opt.Ctx,
 			MaxInstructions: opt.MaxInstructions,
 			StagnationNs:    opt.StagnationNs,
 			RegionHistMax:   opt.RegionHistMax,
-		}
-	}
-	if n == 1 {
-		// A batch of one is exactly a scalar run; take the scalar engine.
-		res, err := Run(l, schemes[0], laneOpt(0))
-		return []*Result{res}, []error{err}, nil
-	}
-
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	b := &batch{l: l, jit: schemes[0].JIT(), ctx: opt.Ctx, cancelCountdown: cancelPollInterval}
-	for i, s := range schemes {
-		r, err := newRunner(l, s, laneOpt(i))
-		if err != nil {
+		})
+		if res == nil {
+			// Run rejected the configuration every lane shares.
 			return nil, nil, err
 		}
-		ln := &blane{idx: i, r: r}
-		ln.ls.MS = r.ms
-		ln.ls.NeedsBackup = s.NeedsBackup
-		ln.ls.Led = r.led
-		ln.ls.OnRegionEnd = r.res.RegionSizes.Add
-		b.lanes = append(b.lanes, ln)
-		results[i] = r.res
-	}
-	b.max = b.lanes[0].r.opt.MaxInstructions // post-default value, uniform
-	b.pack = cpu.NewLinked(l)
-	if b.lanes[0].r.fetchFree {
-		b.pack.SetFetchFree(true)
-	}
-	r0 := b.lanes[0].r
-	b.ctl = cpu.LockstepControl{
-		Timing:     r0.timing,
-		EByNs:      r0.eInstrByNs,
-		EInstr:     r0.p.EInstr,
-		PRun:       r0.p.PRun,
-		Jit:        b.jit,
-		MaxInstrNs: epochMaxInstrNs,
-	}
-
-	// A batch that is already canceled does no work at all (Run's
-	// pre-canceled contract, per lane).
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			for _, ln := range b.lanes {
-				ln.mode = laneFailed
-				ln.err = ln.r.checkCancel()
-			}
-		}
-	}
-
-	// Boundary-process every lane once to plan its first pack entry; all
-	// cores start identical to the pack, so lanes enter converged.
-	for _, ln := range b.lanes {
-		if ln.mode == laneFailed {
-			continue
-		}
-		b.laneBoundary(ln)
-		if ln.mode == laneLockstep {
-			b.syncFromRunner(ln)
-		}
-	}
-
-	active := make([]*blane, 0, n)
-	lsLanes := make([]*cpu.LockstepLane, 0, n)
-	b.burst = make([]*blane, 0, n)
-	for {
-		// Solo lanes first: replay privately until they converge on the
-		// parked pack (possibly mid-epoch), halt, or fail.
-		for _, ln := range b.lanes {
-			if ln.mode != laneSolo {
-				continue
-			}
-			ln.mode = laneIdle
-			if err := b.runDivergent(ln); err != nil {
-				b.failLane(ln, err)
-				continue
-			}
-			if ln.mode != laneLockstep {
-				b.laneBoundary(ln)
-			}
-			if ln.mode == laneLockstep {
-				b.syncFromRunner(ln)
-			}
-		}
-
-		// Advance the pack, fused, with every open-epoch lane.
-		active = active[:0]
-		lsLanes = lsLanes[:0]
-		live := 0
-		limit := uint64(math.MaxUint64)
-		for _, ln := range b.lanes {
-			switch ln.mode {
-			case laneParked, laneSolo:
-				live++
-				continue
-			case laneLockstep:
-			default:
-				continue
-			}
-			live++
-			active = append(active, ln)
-			lsLanes = append(lsLanes, &ln.ls)
-			if lim := b.max - ln.extra.Executed; lim < limit {
-				limit = lim
-			}
-		}
-		if len(active) == 0 {
-			// No epochs open. Parked lanes advance in precise bursts;
-			// if none are parked either, every lane is terminal (solo
-			// lanes were all chased above).
-			if !b.runBurst() {
-				break
-			}
-			continue
-		}
-		b.ctl.LimitExec = limit
-		switch {
-		case len(active) < live:
-			// Some live lane is parked or replaying outside the pack.
-			// Cap the pack's lead so stragglers chase short distances:
-			// a runaway pack turns entire lanes into stepwise replays.
-			b.ctl.MaxSlots = packChunkSlots
-		case b.ctx != nil:
-			b.ctl.MaxSlots = cancelChunkInstrs
-		default:
-			b.ctl.MaxSlots = math.MaxInt64
-		}
-		slots := b.pack.RunLockstep(&b.ctl, lsLanes)
-		if slots > 0 {
-			// The pack moved past any parked lane; it chases next round.
-			for _, ln := range b.lanes {
-				if ln.mode == laneParked {
-					ln.mode = laneSolo
-				}
-			}
-		}
-
-		if b.ctx != nil {
-			if b.cancelCountdown -= slots + 1; b.cancelCountdown <= 0 {
-				b.cancelCountdown = cancelPollInterval
-				if b.ctx.Err() != nil {
-					for _, ln := range active {
-						b.syncLaneCore(ln)
-						b.failLane(ln, ln.r.checkCancel())
-					}
-					continue
-				}
-			}
-		}
-
-		for _, ln := range active {
-			laneExec := b.pack.Counts.Executed + ln.extra.Executed
-			if !ln.ls.Stop && laneExec < b.max && !b.pack.Halted {
-				continue // epoch still open; no boundary work
-			}
-			// The lane's epoch closed (budget, latency, deadline,
-			// structural backup, halt, or instruction budget): settle
-			// it, then run the scalar boundary protocol. The common
-			// boundary — no power event due, next epoch opens at once —
-			// skips the core-view sync round-trip, which is the identity
-			// when nothing touches the lane's core.
-			b.settleEpoch(ln)
-			if b.fastReopen(ln) {
-				continue
-			}
-			b.syncLaneCore(ln)
-			ln.mode = laneIdle
-			b.laneBoundary(ln)
-			if ln.mode == laneLockstep {
-				b.syncFromRunner(ln)
-			}
-		}
-	}
-
-	for _, ln := range b.lanes {
-		errs[ln.idx] = ln.err
+		results[i], errs[i] = res, err
 	}
 	return results, errs, nil
-}
-
-// syncLaneCore materializes the lane's scalar view from the pack: the
-// shared architectural state plus the lane's private count surplus and
-// clock. Boundary events and divergent replay then run on the lane's
-// own core exactly as the scalar engine would.
-func (b *batch) syncLaneCore(ln *blane) {
-	core := ln.r.core
-	core.Regs = b.pack.Regs
-	core.PC = b.pack.PC
-	core.Halted = b.pack.Halted
-	core.Counts = addCounts(b.pack.Counts, ln.extra)
-	ln.r.now = ln.ls.Now
-	ln.r.regionInstrs = b.ctl.PackRi + ln.ls.RiOff
-}
-
-// syncFromRunner refreshes the pack-side view after the lane's scalar
-// state advanced privately (boundary events, divergent replay).
-func (b *batch) syncFromRunner(ln *blane) {
-	ln.extra = subCounts(ln.r.core.Counts, b.pack.Counts)
-	ln.ls.Now = ln.r.now
-	ln.ls.RiOff = ln.r.regionInstrs - b.ctl.PackRi
-}
-
-// openEpoch arms the lane's pack-side epoch state, mirroring runEpoch's
-// prologue: ledger baseline, budget, Compute watermark, and the absolute
-// segment deadline.
-func (b *batch) openEpoch(ln *blane, budget float64) {
-	r := ln.r
-	ln.ls.LedStart = r.led.Total()
-	ln.ls.Budget = budget
-	ln.ls.CSafe = r.led.Compute
-	ln.ls.SegDeadline = r.now + r.cursor.SegmentRemaining() - epochMaxInstrNs
-	ln.epochStartNow = r.now
-	ln.mode = laneLockstep
-}
-
-// settleEpoch closes the lane's open epoch with runEpoch's settlement
-// order: draw the ledger delta, then integrate harvest over the epoch.
-func (b *batch) settleEpoch(ln *blane) {
-	r := ln.r
-	elapsed := ln.ls.Now - ln.epochStartNow
-	r.cap.Draw(r.led.Total() - ln.ls.LedStart)
-	r.cap.Add(r.cursor.Harvest(elapsed))
-	r.res.RunNs += elapsed
-	r.now = ln.ls.Now
-}
-
-func (b *batch) finishLane(ln *blane) {
-	ln.r.finish()
-	ln.mode = laneDone
-}
-
-func (b *batch) failLane(ln *blane, err error) {
-	ln.err = err
-	ln.mode = laneFailed
-}
-
-// fastReopen attempts the common epoch boundary without materializing
-// the lane's core view: when the pack is running, the lane is within its
-// instruction budget, no power event is pending, and the next epoch's
-// budget is positive, the boundary protocol would sync the core from the
-// pack, touch nothing, and sync it straight back — so both syncs are
-// skipped and the epoch opens in place. Any other condition (including
-// an attached context, whose cancellation poll belongs to the full
-// protocol) reports false and falls back to laneBoundary.
-func (b *batch) fastReopen(ln *blane) bool {
-	if b.pack.Halted || b.ctx != nil {
-		return false
-	}
-	if b.pack.Counts.Executed+ln.extra.Executed >= b.max {
-		return false
-	}
-	r := ln.r
-	if r.boundaryEventCheck(b.jit) {
-		return false
-	}
-	budget := r.epochBudget(b.jit)
-	if budget <= 0 {
-		return false
-	}
-	// laneBoundary's runEpoch prologue guard (a pending structural backup)
-	// cannot apply here: boundaryEventCheck just reported none pending.
-	b.openEpoch(ln, budget)
-	return true
-}
-
-// laneBoundary runs the scalar engine's between-epochs protocol
-// (runBatched's outer loop) on the lane until it opens an epoch, parks
-// for a precise burst, finishes, or fails. The lane's
-// core must be synced to the pack on entry; on every return into the
-// pack it is converged again — power cycles that land elsewhere replay
-// divergently to convergence before returning.
-func (b *batch) laneBoundary(ln *blane) {
-	r := ln.r
-	for {
-		if r.core.Halted {
-			b.finishLane(ln)
-			return
-		}
-		if r.core.Counts.Executed >= b.max {
-			b.failLane(ln, r.budgetErr())
-			return
-		}
-		if err := r.pollCancel(); err != nil {
-			b.failLane(ln, err)
-			return
-		}
-		handled, err := r.preInstrEvents()
-		if err != nil {
-			b.failLane(ln, err)
-			return
-		}
-		if handled {
-			// A power cycle moved the lane. JIT schemes restoring the
-			// snapshot they just took land exactly on the pack state
-			// and rejoin instantly; anything else replays privately.
-			if !b.pack.Halted && r.core.PC == b.pack.PC && r.core.Regs == b.pack.Regs {
-				continue
-			}
-			if err := b.runDivergent(ln); err != nil {
-				b.failLane(ln, err)
-				return
-			}
-			if ln.mode == laneLockstep {
-				return // rejoined mid-epoch, live epoch transferred
-			}
-			continue // rejoined at a boundary (or halted; top handles it)
-		}
-		if budget := r.epochBudget(b.jit); budget > 0 {
-			if err := r.checkCancel(); err != nil {
-				b.failLane(ln, err)
-				return
-			}
-			if b.jit && r.s.NeedsBackup() {
-				// runEpoch's prologue guard: a pending structural backup
-				// closes the epoch before anything retires — a no-op
-				// settlement — and the next iteration's preInstrEvents
-				// services it.
-				continue
-			}
-			b.openEpoch(ln, budget)
-			return
-		}
-		// Zero budget: the next instruction must settle the capacitor
-		// and re-check power events. Park the lane on its live core;
-		// the coordinator advances parked lanes in precise bursts.
-		ln.mode = laneParked
-		return
-	}
-}
-
-// runBurst advances every parked lane — converged, zero-budget lanes
-// whose next instruction must settle the capacitor — without any pack
-// traffic. Each round re-seeds the pack from the lanes' shared
-// round-start state, runs the scalar boundary protocol on every lane
-// (which may open an epoch, power-cycle and chase back, halt, or fail),
-// and then steps each still-parked lane one precise instruction on its
-// own core. Survivors execute the same instruction, so they stay
-// converged round over round; anything that leaves does so at or behind
-// the round start the pack holds, preserving the never-ahead invariant.
-// The burst ends when a lane opens an epoch (the pack must move) or no
-// parked lane remains. Reports whether any lane was parked at entry.
-func (b *batch) runBurst() bool {
-	burst := b.burst[:0]
-	for _, ln := range b.lanes {
-		if ln.mode == laneParked {
-			burst = append(burst, ln)
-		}
-	}
-	if len(burst) == 0 {
-		return false
-	}
-	for {
-		k := 0
-		for _, ln := range burst {
-			if ln.mode == laneParked {
-				burst[k] = ln
-				k++
-			}
-		}
-		burst = burst[:k]
-		if k == 0 {
-			return true
-		}
-		// Re-seed the pack to the round start every parked lane shares:
-		// convergence checks and count baselines stay consistent for
-		// lanes leaving the burst, at a fixed per-round cost.
-		r0 := burst[0].r
-		b.pack.Regs = r0.core.Regs
-		b.pack.PC = r0.core.PC
-		b.pack.Halted = r0.core.Halted
-		b.pack.Counts = r0.core.Counts
-		b.ctl.PackRi = r0.regionInstrs
-		open := false
-		for _, ln := range burst {
-			ln.mode = laneIdle
-			b.laneBoundary(ln)
-			if ln.mode == laneLockstep {
-				b.syncFromRunner(ln)
-				open = true
-			}
-		}
-		if open {
-			return true
-		}
-		for _, ln := range burst {
-			if ln.mode == laneParked {
-				ln.r.stepPrecise()
-			}
-		}
-	}
-}
-
-// runDivergent replays the lane privately — the scalar engine's exact
-// loops on the lane's own core — until its architectural state reaches
-// the pack again, it halts, or it errors. Replay is how the scalar
-// engine recovers from an outage too, so a lane that never rejoins
-// still produces bit-identical results, just without amortization.
-func (b *batch) runDivergent(ln *blane) error {
-	r := ln.r
-	pack := b.pack
-	for {
-		if r.core.Halted {
-			return nil
-		}
-		if !pack.Halted && r.core.PC == pack.PC && r.core.Regs == pack.Regs {
-			return nil // converged at a boundary; caller resumes the protocol
-		}
-		if r.core.Counts.Executed >= b.max {
-			return r.budgetErr()
-		}
-		if err := r.pollCancel(); err != nil {
-			return err
-		}
-		handled, err := r.preInstrEvents()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		if budget := r.epochBudget(b.jit); budget > 0 {
-			if err := r.checkCancel(); err != nil {
-				return err
-			}
-			if b.runEpochStepwise(ln, budget) {
-				ln.mode = laneLockstep
-				return nil // converged mid-epoch; live epoch handed to the pack
-			}
-		} else {
-			r.stepPrecise()
-		}
-	}
-}
-
-// runEpochStepwise is runEpoch's per-step loop (untraced) with one
-// addition: after each instruction that leaves the epoch open, if the
-// lane's architectural state has reached the pack, the epoch is handed
-// over live — ledger baseline, budget, watermark, and deadline move into
-// the lane's pack-side state unsettled, and the pack continues it with
-// the identical per-instruction arithmetic. Reports whether it rejoined.
-func (b *batch) runEpochStepwise(ln *blane, budget float64) bool {
-	r := ln.r
-	core, led, s := r.core, r.led, r.s
-	ms, timing := r.ms, r.timing
-	ledStart := led.Total()
-	segRem := r.cursor.SegmentRemaining()
-	max := b.max
-	hist := r.res.RegionSizes
-	pack := b.pack
-	now, runNs, ri := r.now, r.res.RunNs, r.regionInstrs
-	epochStart := now
-	var epochNs int64
-	jit := b.jit
-	needBk := jit && s.NeedsBackup()
-	cSafe := led.Compute
-	for {
-		if needBk {
-			break
-		}
-		if core.Counts.Executed >= max {
-			break
-		}
-		ns, cl := core.StepFast(now, ms, timing)
-		led.Compute += r.instrEnergy(ns)
-		now += ns
-		runNs += ns
-		epochNs += ns
-		memTouch := !r.fetchFree || cl.TouchesMemSystem()
-		if jit && memTouch {
-			needBk = s.NeedsBackup()
-		}
-		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-			hist.Add(ri)
-			ri = 0
-		} else {
-			ri++
-		}
-		if core.Halted || ns >= epochMaxInstrNs ||
-			epochNs+epochMaxInstrNs >= segRem {
-			break
-		}
-		if memTouch || led.Compute >= cSafe {
-			t := led.Total()
-			if t-ledStart >= budget {
-				break
-			}
-			slack := budget - (t - ledStart)
-			if slack > (t+1)*1e-9 {
-				cSafe = led.Compute + 0.5*slack
-			} else {
-				cSafe = led.Compute
-			}
-		}
-		// Rejoin only while the epoch provably continues: a pending
-		// structural backup must close it here exactly as the scalar
-		// loop's next iteration would.
-		if !needBk && !pack.Halted && core.PC == pack.PC && core.Regs == pack.Regs {
-			// The settlement adds the whole epoch's duration to RunNs at
-			// once, so hand RunNs over without the partial epoch.
-			r.now, r.res.RunNs, r.regionInstrs = now, runNs-epochNs, ri
-			ln.ls.LedStart = ledStart
-			ln.ls.Budget = budget
-			ln.ls.CSafe = cSafe
-			ln.ls.SegDeadline = epochStart + segRem - epochMaxInstrNs
-			ln.epochStartNow = epochStart
-			return true
-		}
-	}
-	r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
-	r.cap.Draw(led.Total() - ledStart)
-	r.cap.Add(r.cursor.Harvest(epochNs))
-	return false
-}
-
-func addCounts(a, e cpu.Counts) cpu.Counts {
-	a.Executed += e.Executed
-	a.Loads += e.Loads
-	a.Stores += e.Stores
-	a.CkptStores += e.CkptStores
-	a.SavePCs += e.SavePCs
-	a.RegionEnds += e.RegionEnds
-	a.Clwbs += e.Clwbs
-	a.Fences += e.Fences
-	a.Calls += e.Calls
-	a.Branches += e.Branches
-	return a
-}
-
-func subCounts(a, e cpu.Counts) cpu.Counts {
-	a.Executed -= e.Executed
-	a.Loads -= e.Loads
-	a.Stores -= e.Stores
-	a.CkptStores -= e.CkptStores
-	a.SavePCs -= e.SavePCs
-	a.RegionEnds -= e.RegionEnds
-	a.Clwbs -= e.Clwbs
-	a.Fences -= e.Fences
-	a.Calls -= e.Calls
-	a.Branches -= e.Branches
-	return a
 }

@@ -1,12 +1,9 @@
 package sim_test
 
-// Differential proof for the lockstep batch engine: every lane of a
-// RunBatch must be byte-identical to a scalar Run with the same seed —
-// same Result, same NVM image — across the full scheme matrix under the
-// RF-Home harvested trace. The batch engine shares decode/dispatch and
-// register semantics across lanes, so any divergence (an epoch folded
-// one instruction late, a replay rejoined one slot early) surfaces here
-// as a field diff against the scalar reference.
+// RunBatch's per-lane contract: lane i of a batch must be byte-identical
+// to a scalar Run on Sources[i] — same Result, same NVM image — across the
+// full scheme matrix under the RF-Home harvested trace, and a lane's
+// failure or cancellation stays in its own error slot.
 
 import (
 	"context"
@@ -107,8 +104,7 @@ func TestRunBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRunBatchWidths covers the scalar fallback (width 1) and odd
-// widths whose lane sets exercise partial divergence.
+// TestRunBatchWidths covers one-lane and odd-width batches.
 func TestRunBatchWidths(t *testing.T) {
 	for _, width := range []int{1, 2, 3} {
 		width := width

@@ -309,9 +309,9 @@ type imageRun struct {
 
 // imageCache memoizes the coalesced NVM image per linked program: the
 // image is a pure function of the Linked (data inits plus the recovery PC
-// slot), and a batch or sweep boots the same program many times, so each
-// boot after the first is a handful of bulk copies instead of a poke per
-// word. The map holds strong references, which also guarantees a cached
+// slot), and a matrix or seed sweep boots the same program many times, so
+// each boot after the first is a handful of bulk copies instead of a poke
+// per word. The map holds strong references, which also guarantees a cached
 // pointer key cannot be recycled for a different program; the reset cap
 // bounds the footprint.
 var imageCache struct {
@@ -353,7 +353,8 @@ func linkedImage(l *ir.Linked) []imageRun {
 
 // eTableCache shares the tabulated per-latency instruction energies across
 // runners: the table is a pure function of (EInstr, PRun) and read-only
-// after construction, so every lane of a batch uses one copy.
+// after construction, so every run under the same parameters uses one
+// copy.
 var eTableCache struct {
 	sync.Mutex
 	m map[[2]float64][]float64
@@ -470,9 +471,8 @@ func (r *runner) checkCancel() error {
 }
 
 // newRunner validates opt, boots the scheme, and builds one run's mutable
-// state — the shared construction path of Run and RunBatch. It leaves the
-// pre-canceled-context check to the caller (Run wants the Result back even
-// then).
+// state. It leaves the pre-canceled-context check to the caller (Run
+// wants the Result back even then).
 func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	p := s.Params()
 	if err := p.Validate(); err != nil {
@@ -687,31 +687,6 @@ func (r *runner) preInstrEvents() (handled bool, err error) {
 		r.armed = true
 	}
 	return false, nil
-}
-
-// boundaryEventCheck is preInstrEvents' decision procedure without the
-// event bodies: it reports whether a state-mutating event (structural
-// backup, voltage-triggered JIT backup, brown-out) is due, using exactly
-// the same comparisons in the same order. When none is, it applies the
-// re-arm transition — the one action that touches no core state — so a
-// false return means a full preInstrEvents call would have returned
-// (false, nil) and left the lane's core untouched. The batch engine uses
-// this to reopen epochs without materializing a lane's core view.
-func (r *runner) boundaryEventCheck(jit bool) (pending bool) {
-	if jit && r.s.NeedsBackup() {
-		return true
-	}
-	v := r.cap.V()
-	if jit && r.armed && v <= r.p.VBackup {
-		return true
-	}
-	if v < r.p.Vmin {
-		return true
-	}
-	if jit && !r.armed && v > r.p.VBackup+0.02 {
-		r.armed = true
-	}
-	return false
 }
 
 // preStepEmit reports compiler-inserted checkpoint activity. Callers only

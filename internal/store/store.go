@@ -222,10 +222,10 @@ func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
 func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(ctx context.Context) (*journal.Record, error)) (*journal.Record, Tier, error) {
 	key := c.Key()
 	s.mu.Lock()
-	if rec, tier, ok := s.lookupLocked(c, key); ok {
-		s.mu.Unlock()
-		return rec, tier, nil
-	}
+	// In-flight first: the leader's Put makes the record durable on disk
+	// before it reaches memory, and the flight stays registered until
+	// both tiers hold it, so a request landing in between joins the
+	// flight instead of reading the half-published record from disk.
 	if f, ok := s.flights[key]; ok {
 		s.stats.DedupCollapses++
 		s.count("dedup_collapses")
@@ -236,6 +236,10 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 		case <-ctx.Done():
 			return nil, TierNone, ctx.Err()
 		}
+	}
+	if rec, tier, ok := s.lookupLocked(c, key); ok {
+		s.mu.Unlock()
+		return rec, tier, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f

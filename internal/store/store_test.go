@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,74 @@ func TestTortureOverlappingKeys(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("key %d: disk record not byte-identical", k)
 		}
+	}
+}
+
+// TestDurableBeforeMemoryIsDedup holds a leader between the durable
+// journal append and the memory-tier insert (the compute appends the
+// record itself, exactly as Put's first step would) and sends an
+// identical request into that window. The request must join the flight
+// as a dedup collapse: the record is on disk, but the leader has not
+// published it yet, so a disk hit would misreport the tier.
+func TestDurableBeforeMemoryIsDedup(t *testing.T) {
+	j, err := journal.Open(filepath.Join(t.TempDir(), "cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := store.New(j, 0)
+	t.Cleanup(func() { s.Close() })
+	c := cellN(1)
+
+	appended := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(context.Background(), c,
+			func(context.Context) (*journal.Record, error) {
+				if err := j.Append(c, recN(1)); err != nil {
+					return nil, err
+				}
+				close(appended)
+				<-release
+				return recN(1), nil
+			})
+		leaderDone <- err
+	}()
+	<-appended
+
+	type reply struct {
+		rec  *journal.Record
+		tier store.Tier
+		err  error
+	}
+	followerDone := make(chan reply, 1)
+	go func() {
+		rec, tier, err := s.GetOrCompute(context.Background(), c,
+			func(context.Context) (*journal.Record, error) {
+				return nil, errors.New("follower must not compute")
+			})
+		followerDone <- reply{rec, tier, err}
+	}()
+	// Wait until the store has classified the follower: a dedup follower
+	// blocks on the flight, a tier hit returns at once.
+	for {
+		st := s.Stats()
+		if st.DedupCollapses+st.MemHits+st.DiskHits > 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	r := <-followerDone
+	if r.err != nil || r.tier != store.TierNone || r.rec.Digest() != recN(1).Digest() {
+		t.Fatalf("follower: tier=%v err=%v", r.tier, r.err)
+	}
+	if st := s.Stats(); st.DedupCollapses != 1 || st.DiskHits != 0 || st.Misses != 1 {
+		t.Fatalf("follower in the publish window: dedup %d, disk hits %d, misses %d; want 1, 0, 1",
+			st.DedupCollapses, st.DiskHits, st.Misses)
 	}
 }
 
