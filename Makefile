@@ -21,8 +21,12 @@ bench:
 # plus the two headline figure matrices, archived as machine-readable
 # JSON; CI uploads the file as an artifact. The memory-hierarchy fast-path
 # benchmarks run as a second pass with the default benchtime — they are
-# nanosecond-scale, so 3 iterations would be pure noise.
+# nanosecond-scale, so 3 iterations would be pure noise. Everything runs
+# at GOMAXPROCS=1, as recorded in BENCH_engine.json's context block: at
+# N > 1 go test suffixes every benchmark name with -N, and bench-check
+# would match none of the baseline's entries.
 bench-json:
+	export GOMAXPROCS=1; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome|BenchmarkRunBatch' . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig5OutageFree|BenchmarkFig6RFHome' -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCacheProbe|BenchmarkCacheDirtySweep|BenchmarkCacheInvalidate|BenchmarkBufferSearch' . ; } \
@@ -31,7 +35,8 @@ bench-json:
 
 # The regression gate: fresh engine benchmarks vs the committed
 # BENCH_engine.json baseline, failing on >15% sim-instrs/s loss.
-# WARN=1 downgrades failures to GitHub warning annotations (CI mode).
+# WARN=1 downgrades regressions to GitHub warning annotations (CI mode);
+# a baseline benchmark missing from the fresh run fails in both modes.
 bench-check:
 	./scripts/bench_check.sh $(if $(WARN),-warn-only)
 

@@ -2,7 +2,10 @@
 // benchjson document against the committed baseline (BENCH_engine.json)
 // on one metric and fails when any benchmark regresses beyond the
 // tolerance. scripts/bench_check.sh wires the fresh run; CI runs it with
-// -warn-only so shared-runner noise annotates instead of failing.
+// -warn-only so shared-runner noise annotates instead of failing. An
+// incomplete comparison (a baseline benchmark missing from the fresh run)
+// fails even then: a missing or renamed benchmark is a fact about the
+// code, not runner noise.
 //
 // Usage:
 //
@@ -29,7 +32,7 @@ func main() {
 	metric := flag.String("metric", "sim-instrs/s", "metric to compare")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed relative regression (0.15 = 15%)")
 	higherBetter := flag.Bool("higher-better", true, "larger metric values are better (false for ns/op-style metrics)")
-	warnOnly := flag.Bool("warn-only", false, "report regressions as GitHub warning annotations and exit 0 (CI-noise mode)")
+	warnOnly := flag.Bool("warn-only", false, "report regressions as GitHub warning annotations instead of failing (CI-noise mode); an incomplete comparison still fails")
 	logfmt := flag.String("logfmt", "text", "log format: text|json")
 	verbose := flag.Bool("v", false, "debug logging")
 	flag.Parse()
@@ -54,19 +57,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	deltas, err := benchfmt.Compare(base, cur, *metric, *tolerance, *higherBetter)
-	if err != nil {
-		// Missing benchmarks gate too: a comparison that silently skips
-		// entries would pass on an empty run.
-		log.Error("comparison incomplete", "err", err)
-		if !*warnOnly {
-			os.Exit(1)
-		}
-		fmt.Printf("::warning title=benchcheck::%v\n", err)
-		if deltas == nil {
-			os.Exit(0)
-		}
-	}
+	deltas, incomplete := benchfmt.Compare(base, cur, *metric, *tolerance, *higherBetter)
 
 	regressed := 0
 	for _, d := range deltas {
@@ -92,6 +83,15 @@ func main() {
 		"current_commit", cur.Context["git-commit"],
 		"compared", len(deltas), "regressed", regressed,
 		"tolerance", *tolerance)
+	if incomplete != nil {
+		// Missing benchmarks gate in every mode: a comparison that
+		// silently skips entries would pass on an empty run.
+		log.Error("comparison incomplete", "err", incomplete)
+		if *warnOnly {
+			fmt.Printf("::error title=benchcheck::%v\n", incomplete)
+		}
+		os.Exit(1)
+	}
 	if regressed > 0 && !*warnOnly {
 		os.Exit(1)
 	}

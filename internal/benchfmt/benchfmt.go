@@ -126,7 +126,10 @@ func (d Delta) Change() string {
 // baseline; otherwise (latency metrics like ns/op) when it rises more
 // than tolerance above. Benchmarks absent from the current run, or a
 // metric absent from every baseline entry, are reported as errors — a
-// gate that silently compares nothing is worse than no gate.
+// gate that silently compares nothing is worse than no gate. Names must
+// match exactly: a run at GOMAXPROCS N > 1 suffixes every name with -N,
+// so it matches none of a baseline recorded at GOMAXPROCS 1, and the
+// error then names every baseline benchmark it could not find.
 func Compare(base, cur *Doc, metric string, tolerance float64, higherBetter bool) ([]Delta, error) {
 	var deltas []Delta
 	var missing []string
@@ -156,7 +159,7 @@ func Compare(base, cur *Doc, metric string, tolerance float64, higherBetter bool
 		}
 		deltas = append(deltas, d)
 	}
-	if len(deltas) == 0 {
+	if len(deltas) == 0 && missing == nil {
 		return nil, fmt.Errorf("benchfmt: no baseline benchmark carries metric %q", metric)
 	}
 	if missing != nil {

@@ -119,6 +119,21 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	}
 }
 
+// A current run at GOMAXPROCS 2 names its benchmarks BenchmarkX-2, which
+// match none of a baseline recorded at GOMAXPROCS 1. The error must name
+// the baseline benchmarks that went unmatched, not blame the metric.
+func TestCompareProcSuffixNamesMissing(t *testing.T) {
+	base := mkdoc(map[string]float64{"BenchmarkX": 100})
+	cur := mkdoc(map[string]float64{"BenchmarkX-2": 100})
+	deltas, err := Compare(base, cur, "sim-instrs/s", 0.15, true)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkX") {
+		t.Fatalf("err = %v, want an error naming BenchmarkX", err)
+	}
+	if len(deltas) != 0 {
+		t.Fatalf("deltas = %+v, want none", deltas)
+	}
+}
+
 func TestCompareNoMetricCarrier(t *testing.T) {
 	base := mkdoc(map[string]float64{"A": 100})
 	cur := mkdoc(map[string]float64{"A": 100})

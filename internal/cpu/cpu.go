@@ -3,17 +3,19 @@
 // behaviour — caches, persist buffers, NVM, persistence stalls — is behind
 // the MemSystem interface that each architecture scheme implements.
 //
-// Energy is not returned by Step: schemes and the engine attribute energy
-// to the shared ledger directly, and the engine draws the ledger delta from
-// the capacitor after each step (see internal/sim).
+// Energy is not returned: Run adds each instruction's charge to the shared
+// ledger, schemes attribute their own energy to it directly, and the
+// engine draws ledger deltas from the capacitor (see internal/sim).
 package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/telemetry"
 )
 
 // Regs is the architectural register file.
@@ -118,409 +120,179 @@ type StepTiming struct {
 }
 
 // Step executes the instruction at PC against ms and returns its time
-// cost. It panics on malformed code (the linker guarantees well-formed
-// programs).
+// cost: a one-instruction Run with no other stop rule, charging a scratch
+// ledger. A halted core does nothing. It panics on malformed code (the
+// linker guarantees well-formed programs).
 func (c *CPU) Step(now int64, ms MemSystem, t StepTiming) Cost {
-	ns, _ := c.StepFast(now, ms, t)
+	var led energy.Ledger
+	ns, _ := c.Run(now, ms, t, &Control{
+		Led:         &led,
+		Max:         c.Counts.Executed + 1,
+		Budget:      math.Inf(1),
+		SegDeadline: math.MaxInt64,
+		MaxInstrNs:  math.MaxInt64,
+	})
 	return Cost{Ns: ns}
 }
 
-// StepFast executes the instruction at PC against ms and returns its time
-// cost in nanoseconds plus its dispatch class, through the predecoded
-// table: one dense switch, no opcode range tests, and the class flows
-// back to the engine so it never re-reads the instruction word.
-func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class) {
-	if c.Halted {
-		return 0, isa.ClassHalt
-	}
-	d := &c.dec[c.PC]
-	ns := t.CycleNs
-	if !c.fetchFree {
-		ns += ms.Fetch(now).Ns
-	}
-	next := c.PC + 1
-	c.Counts.Executed++
-
-	switch d.Class {
-	case isa.ClassNop:
-
-	case isa.ClassAdd:
-		c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
-	case isa.ClassSub:
-		c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
-	case isa.ClassAnd:
-		c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
-	case isa.ClassOr:
-		c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
-	case isa.ClassXor:
-		c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
-	case isa.ClassAddI:
-		c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
-	case isa.ClassAndI:
-		c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
-	case isa.ClassOrI:
-		c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
-	case isa.ClassXorI:
-		c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
-	case isa.ClassALURR:
-		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-	case isa.ClassALURRMul:
-		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-		ns += (t.MulCycles - 1) * t.CycleNs
-	case isa.ClassALURRDiv:
-		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-		ns += (t.DivCycles - 1) * t.CycleNs
-	case isa.ClassALURI:
-		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-	case isa.ClassALURIMul:
-		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-		ns += (t.MulCycles - 1) * t.CycleNs
-	case isa.ClassMovI:
-		c.Regs[d.Dst] = d.Imm
-	case isa.ClassMov:
-		c.Regs[d.Dst] = c.Regs[d.Src1]
-
-	case isa.ClassLd:
-		c.Counts.Loads++
-		v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-		c.Regs[d.Dst] = v
-		ns += mc.Ns
-	case isa.ClassLdB:
-		c.Counts.Loads++
-		v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-		c.Regs[d.Dst] = v
-		ns += mc.Ns
-	case isa.ClassSt:
-		c.Counts.Stores++
-		ns += ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false).Ns
-	case isa.ClassStB:
-		c.Counts.Stores++
-		ns += ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true).Ns
-
-	case isa.ClassBeq:
-		c.Counts.Branches++
-		if c.Regs[d.Src1] == c.Regs[d.Src2] {
-			next = int64(d.Target)
-		}
-	case isa.ClassBne:
-		c.Counts.Branches++
-		if c.Regs[d.Src1] != c.Regs[d.Src2] {
-			next = int64(d.Target)
-		}
-	case isa.ClassBranch:
-		c.Counts.Branches++
-		if isa.BranchTaken(d.Op, c.Regs[d.Src1], c.Regs[d.Src2]) {
-			next = int64(d.Target)
-		}
-	case isa.ClassJmp:
-		next = int64(d.Target)
-	case isa.ClassCall:
-		c.Counts.Calls++
-		c.Regs[isa.LR] = c.PC + 1
-		next = int64(d.Target)
-	case isa.ClassRet:
-		next = c.Regs[isa.LR]
-	case isa.ClassHalt:
-		c.Halted = true
-		next = c.PC
-
-	case isa.ClassCkptSt:
-		c.Counts.CkptStores++
-		ns += ms.Store(now+ns, ir.CkptSlotAddr(d.Src2), c.Regs[d.Src2], false).Ns
-	case isa.ClassSavePC:
-		c.Counts.SavePCs++
-		ns += ms.Store(now+ns, ir.PCSlotAddr, d.Imm, false).Ns
-	case isa.ClassRegionEnd:
-		c.Counts.RegionEnds++
-		ns += ms.RegionEnd(now + ns).Ns
-	case isa.ClassClwb:
-		c.Counts.Clwbs++
-		ns += ms.Clwb(now+ns, c.Regs[d.Src1]+d.Imm).Ns
-	case isa.ClassFence:
-		c.Counts.Fences++
-		ns += ms.Fence(now + ns).Ns
-
-	default:
-		panic(fmt.Sprintf("cpu: unknown class %d at pc %d", d.Class, c.PC))
-	}
-
-	c.PC = next
-	return ns, d.Class
-}
-
-// ClassAt returns the dispatch class of the instruction at pc.
-func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
-
-// RunUntraced is the engine's fused outage-free inner loop: it retires
-// instructions back-to-back — keeping PC and the executed counter in
-// locals instead of reloading them through c on every Step call — until
-// the program halts, the instruction budget max would be exceeded, or a
-// region-delimiting instruction (region end / fence) retires, which the
-// caller observes for region-size bookkeeping. It returns the elapsed
-// time, the number of instructions retired, and whether the stop was a
-// region delimiter.
-//
-// After each instruction it adds the engine's per-instruction ledger
-// charge to *compute: eByNs[ns] when ns indexes the table, otherwise
-// eInstr + pRun*float64(ns)*1e-9 — the exact expression of the per-step
-// engine loop, so ledger totals are bit-identical. compute aliases a live
-// ledger field that the memory system also accumulates into during
-// Load/Store, so it is read and written through the pointer on every
-// instruction, never cached in a local.
-//
-// The dispatch switch below must stay in lockstep with StepFast; the
-// traced-versus-untraced matrix test in internal/sim pins the
-// equivalence.
-func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64, eInstr, pRun float64, compute *float64, max uint64) (elapsed int64, instrs int, delim bool) {
-	if c.Halted {
-		return 0, 0, false
-	}
-	pc := c.PC
-	executed := c.Counts.Executed
-	// dec and fetchFree live in locals so the memory-system calls — which
-	// could alias c for all the compiler knows — don't force per-iteration
-	// reloads. comp shadows *compute in a register: the ledger field is
-	// synced around every ms call (the only other writer/reader) and on
-	// exit, so the sequence of float adds it receives is unchanged — only
-	// where the running value is stored between adds differs.
-	dec := c.dec
-	fetchFree := c.fetchFree
-	comp := *compute
-	// now is the only clock accumulator (elapsed = now-start) and the
-	// retire count is derived from the executed delta on exit.
-	start := now
-	startExec := executed
-	for executed < max {
-		d := &dec[pc]
-		ns := t.CycleNs
-		if !fetchFree {
-			*compute = comp
-			ns += ms.Fetch(now).Ns
-			comp = *compute
-		}
-		next := pc + 1
-		executed++
-
-		switch d.Class {
-		case isa.ClassNop:
-
-		case isa.ClassAdd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
-		case isa.ClassSub:
-			c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
-		case isa.ClassAnd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
-		case isa.ClassOr:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
-		case isa.ClassXor:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
-		case isa.ClassAddI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
-		case isa.ClassAndI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
-		case isa.ClassOrI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
-		case isa.ClassXorI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
-		case isa.ClassALURR:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-		case isa.ClassALURRMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassALURRDiv:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.DivCycles - 1) * t.CycleNs
-		case isa.ClassALURI:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-		case isa.ClassALURIMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassMovI:
-			c.Regs[d.Dst] = d.Imm
-		case isa.ClassMov:
-			c.Regs[d.Dst] = c.Regs[d.Src1]
-
-		case isa.ClassLd:
-			c.Counts.Loads++
-			*compute = comp
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-			comp = *compute
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassLdB:
-			c.Counts.Loads++
-			*compute = comp
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-			comp = *compute
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassSt:
-			c.Counts.Stores++
-			*compute = comp
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false)
-			comp = *compute
-			ns += mc.Ns
-		case isa.ClassStB:
-			c.Counts.Stores++
-			*compute = comp
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true)
-			comp = *compute
-			ns += mc.Ns
-
-		case isa.ClassBeq:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] == c.Regs[d.Src2] {
-				next = int64(d.Target)
-			}
-		case isa.ClassBne:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] != c.Regs[d.Src2] {
-				next = int64(d.Target)
-			}
-		case isa.ClassBranch:
-			c.Counts.Branches++
-			if isa.BranchTaken(d.Op, c.Regs[d.Src1], c.Regs[d.Src2]) {
-				next = int64(d.Target)
-			}
-		case isa.ClassJmp:
-			next = int64(d.Target)
-		case isa.ClassCall:
-			c.Counts.Calls++
-			c.Regs[isa.LR] = pc + 1
-			next = int64(d.Target)
-		case isa.ClassRet:
-			next = c.Regs[isa.LR]
-		case isa.ClassHalt:
-			c.Halted = true
-			next = pc
-
-		case isa.ClassCkptSt:
-			c.Counts.CkptStores++
-			*compute = comp
-			mc := ms.Store(now+ns, ir.CkptSlotAddr(d.Src2), c.Regs[d.Src2], false)
-			comp = *compute
-			ns += mc.Ns
-		case isa.ClassSavePC:
-			c.Counts.SavePCs++
-			*compute = comp
-			mc := ms.Store(now+ns, ir.PCSlotAddr, d.Imm, false)
-			comp = *compute
-			ns += mc.Ns
-		case isa.ClassRegionEnd:
-			c.Counts.RegionEnds++
-			*compute = comp
-			mc := ms.RegionEnd(now + ns)
-			comp = *compute
-			ns += mc.Ns
-		case isa.ClassClwb:
-			c.Counts.Clwbs++
-			*compute = comp
-			mc := ms.Clwb(now+ns, c.Regs[d.Src1]+d.Imm)
-			comp = *compute
-			ns += mc.Ns
-		case isa.ClassFence:
-			c.Counts.Fences++
-			*compute = comp
-			mc := ms.Fence(now + ns)
-			comp = *compute
-			ns += mc.Ns
-
-		default:
-			panic(fmt.Sprintf("cpu: unknown class %d at pc %d", d.Class, pc))
-		}
-
-		pc = next
-		if ns < int64(len(eByNs)) {
-			comp += eByNs[ns]
-		} else {
-			comp += eInstr + pRun*float64(ns)*1e-9
-		}
-		now += ns
-		if f := isa.ClassFlags[d.Class] & (isa.FlagDelim | isa.FlagHalt); f != 0 {
-			delim = f&isa.FlagDelim != 0
-			break
-		}
-	}
-	c.PC = pc
-	c.Counts.Executed = executed
-	*compute = comp
-	return now - start, int(executed - startExec), delim
-}
-
-// EpochControl parameterizes RunEpoch, the fused harvested-power inner
-// loop. The run-constant fields are set once per simulation; LedStart,
-// Budget, SegRem and RegionInstrs are refreshed per epoch by the engine.
-// NeedsBackup stays a closure and is consulted only after instructions
-// that enter the memory system (scheme state cannot change elsewhere);
-// the ledger is passed directly so the budget comparison's exact fold
-// (Led.Total()) inlines, and even that is evaluated only when the
-// Compute watermark says the comparison could go true.
-type EpochControl struct {
-	// Per-instruction ledger charge, exactly as in RunUntraced: EByNs[ns]
+// Control parameterizes one Run call: the per-instruction ledger charge,
+// the sinks, and the stop rules. Budget = +Inf and SegDeadline =
+// MaxInstrNs = math.MaxInt64 mean "no bound"; a nil NeedsBackup means no
+// structural-backup queries.
+type Control struct {
+	// The per-instruction ledger charge added to Led.Compute: EByNs[ns]
 	// when ns indexes the table, else EInstr + PRun*ns*1e-9.
 	EByNs  []float64
 	EInstr float64
 	PRun   float64
-	Max    uint64 // global instruction budget
+	Led    *energy.Ledger
 
-	Jit         bool
-	NeedsBackup func() bool    // structural backup request (JIT schemes)
-	Led         *energy.Ledger // the live ledger (Compute is the engine-charged field)
-	LedStart    float64        // ledger total at epoch start
-	Budget      float64        // epoch energy budget (joules)
-	SegRem      int64          // remaining ns in the power-trace segment
-	MaxInstrNs  int64          // bound on a single instruction's latency
+	// Stop rules, each tested after an instruction retires.
+	Max         uint64      // stop once Counts.Executed reaches Max
+	LedStart    float64     // ledger total the budget is measured from
+	Budget      float64     // stop once Led.Total()-LedStart >= Budget
+	SegDeadline int64       // stop once the clock reaches this absolute time
+	MaxInstrNs  int64       // stop after an instruction at least this long
+	NeedsBackup func() bool // stop after a memory-system instruction when true
 
-	RegionInstrs int       // running region length carried across epochs
-	OnRegionEnd  func(int) // region-size histogram sink
+	RegionInstrs int               // running region length, carried across calls
+	OnRegionEnd  func(int)         // region-size sink; nil discards
+	Tracer       *telemetry.Tracer // checkpoint-store and save-PC events; nil disables
 }
 
-// RunEpoch retires one epoch's instructions back-to-back — the fused
-// counterpart of the engine's per-step epoch loop, with PC and the
-// executed counter in locals. It stops exactly where the per-step loop
-// would: on a structural backup request, at the instruction budget, on
-// halt, on an instruction at the single-instruction latency bound, when
-// the next instruction might not fit in the power-trace segment, or when
-// the ledger delta reaches the epoch budget. It returns the elapsed time
-// and the updated running region length.
+// What Run checks after an instruction retires. The choice is a per-class
+// table fixed for the whole call, so the common case costs one load and
+// one compare.
+const (
+	tailSkip  uint8 = iota // nothing: no stop rule can fire
+	tailShort              // latency, deadline and Compute-watermark compares
+	tailLong               // slowTail's region, halt, backup and budget checks, then the short ones
+)
+
+// tailTable returns the class's tail for a call that is checked (carries
+// a budget, deadline, latency bound or backup query) or not, on a core
+// whose fetches are free or charged. Delimiters and halt always take the
+// long tail. An unchecked call skips everything else. A checked call
+// gives pure-compute classes the short tail and the rest the long one: a
+// memory-system call can charge ledger fields the Compute watermark does
+// not bound, and can raise a backup request. A charged fetch enters the
+// memory system on every instruction.
+func tailTable(checked, fetchFree bool) (t [isa.NumClasses]uint8) {
+	for cl := range t {
+		f := isa.ClassFlags[cl]
+		switch {
+		case f&(isa.FlagDelim|isa.FlagHalt) != 0:
+			t[cl] = tailLong
+		case !checked:
+			t[cl] = tailSkip
+		case f&isa.FlagMemSystem != 0 || !fetchFree:
+			t[cl] = tailLong
+		default:
+			t[cl] = tailShort
+		}
+	}
+	return t
+}
+
+var (
+	tailUnchecked      = tailTable(false, true)
+	tailChecked        = tailTable(true, true)
+	tailCheckedCharged = tailTable(true, false)
+)
+
+// slowTail finishes an instruction whose tail needs more than the
+// latency and deadline compares. For the long tail it reports a region
+// end, then stops the call on halt or a backup request; a memory-system
+// call may have charged ledger fields that the Compute watermark does not
+// bound, so the budget comparison follows. That comparison uses its exact
+// expression, and when the call may go on slowTail returns the next
+// Compute watermark: half the remaining slack above comp, or comp itself
+// once the slack is down to rounding noise. Kept out of line, its state
+// and constants hold no registers across Run's loop.
+func (ctl *Control) slowTail(k uint8, cl isa.Class, executed uint64, comp, cSafe float64, regionBase *uint64) (bool, float64) {
+	if k == tailLong {
+		if isa.ClassFlags[cl]&isa.FlagDelim != 0 {
+			if ctl.OnRegionEnd != nil {
+				ctl.OnRegionEnd(int(executed - 1 - *regionBase))
+			}
+			*regionBase = executed
+		}
+		if cl == isa.ClassHalt || ctl.NeedsBackup != nil && ctl.NeedsBackup() {
+			return true, cSafe
+		}
+		if ctl.Budget == math.Inf(1) {
+			return false, cSafe
+		}
+	}
+	ctl.Led.Compute = comp // the fold reads the live ledger field
+	tt := ctl.Led.Total()
+	if tt-ctl.LedStart >= ctl.Budget {
+		return true, cSafe
+	}
+	slack := ctl.Budget - (tt - ctl.LedStart)
+	if slack > (tt+1)*1e-9 {
+		return false, comp + 0.5*slack
+	}
+	return false, comp
+}
+
+// Run is the interpreter: it retires instructions back to back, with PC
+// and the executed counter in locals, until a stop rule in ctl fires or
+// the core halts. It returns the elapsed time and the running region
+// length. Every region end (region-end or fence instruction) passes the
+// region's length to ctl.OnRegionEnd.
 //
-// The budget comparison Total()-LedStart >= Budget is evaluated with that
-// exact expression whenever it can matter; on pure-compute stretches it is
-// skipped under a Compute watermark (see the engine's runEpoch for the
-// monotonicity argument), which cannot change the outcome. The caller must
-// not invoke RunEpoch on a halted core or with a pending backup request.
+// After each instruction Run adds the ledger charge to Led.Compute. The
+// budget comparison Total()-LedStart >= Budget is evaluated with that
+// exact expression whenever it can matter. On pure-compute stretches it
+// is skipped below a Compute watermark, which cannot change its outcome:
+// Total() is monotone non-decreasing in Compute with the other fields
+// held fixed (IEEE round-to-nearest addition is monotone in each operand,
+// and the fold composes monotone steps), and the other fields change only
+// inside the memory system. After an exact comparison that says
+// "continue", the watermark is re-armed at half the remaining slack: the
+// half not granted dwarfs the ~1e-15 relative drift between incremental
+// Compute adds and a fresh fold. Near the budget the slack collapses and
+// the comparison runs on every instruction.
 //
-// The dispatch switch must stay in lockstep with StepFast; the
-// traced-versus-untraced matrix test in internal/sim pins the equivalence.
-func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) (elapsed int64, ri int) {
+// Run on a halted core does nothing.
+func (c *CPU) Run(now int64, ms MemSystem, t StepTiming, ctl *Control) (elapsed int64, regionInstrs int) {
+	if c.Halted {
+		return 0, ctl.RegionInstrs
+	}
 	pc := c.PC
 	executed := c.Counts.Executed
-	ri = ec.RegionInstrs
-	led := ec.Led
-	compute := &led.Compute
-	// Hoist the control fields into locals: the closure and ms calls below
-	// could alias ec (or c) for all the compiler knows, so field accesses
-	// inside the loop would otherwise reload on every instruction. comp
-	// shadows *compute in a register, synced around every ms call (the
-	// only other writer) and before every Total() fold (the only other
-	// reader), so the float-add sequence it receives is unchanged.
-	eByNs, eInstr, pRun := ec.EByNs, ec.EInstr, ec.PRun
-	max, jit := ec.Max, ec.Jit
-	ledStart, budget := ec.LedStart, ec.Budget
-	segRem, maxInstrNs := ec.SegRem, ec.MaxInstrNs
+	// Only what every instruction touches lives in locals. The stop rules
+	// and sinks are read through ctl where they are tested: every value
+	// held in a register across the loop is one more move on each
+	// back-edge, and the skip tail's back-edge is the hot one.
 	dec := c.dec
-	fetchFree := c.fetchFree
+	compute := &ctl.Led.Compute
+	hasBudget := ctl.Budget < math.Inf(1)
+	tail := &tailUnchecked
+	if hasBudget || ctl.SegDeadline != math.MaxInt64 || ctl.MaxInstrNs != math.MaxInt64 || ctl.NeedsBackup != nil {
+		tail = &tailChecked
+		if !c.fetchFree {
+			tail = &tailCheckedCharged
+		}
+	}
+	// The running region length is executed-regionBase, so only a
+	// delimiter touches it.
+	regionBase := executed - uint64(ctl.RegionInstrs)
+	// comp shadows *compute in a register, synced around every ms call
+	// (the only other writer) and before every Total() fold (the only
+	// other reader), so the float-add sequence it receives is unchanged.
 	comp := *compute
 	cSafe := comp // force an exact budget check on the first instruction
-	// now is the only clock accumulator: the epoch clock is now-start,
-	// and the segment check epochNs+maxInstrNs >= segRem becomes a single
-	// compare against an absolute deadline.
+	if !hasBudget {
+		cSafe = math.Inf(1)
+	}
+	// now is the only clock accumulator: elapsed is now-start.
 	start := now
-	segDeadline := now + segRem - maxInstrNs
-	for executed < max {
+	for executed < ctl.Max {
 		d := &dec[pc]
 		ns := t.CycleNs
-		if !fetchFree {
+		if !c.fetchFree {
 			*compute = comp
 			ns += ms.Fetch(now).Ns
 			comp = *compute
@@ -621,14 +393,22 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 			c.Halted = true
 			next = pc
 
+		// The two checkpoint events carry the instruction's start time
+		// and precede the store's own scheme events.
 		case isa.ClassCkptSt:
 			c.Counts.CkptStores++
+			if tr := ctl.Tracer; tr != nil {
+				tr.Emit(telemetry.EvCkptStore, now, int64(d.Src2), 0, 0, 0)
+			}
 			*compute = comp
 			mc := ms.Store(now+ns, ir.CkptSlotAddr(d.Src2), c.Regs[d.Src2], false)
 			comp = *compute
 			ns += mc.Ns
 		case isa.ClassSavePC:
 			c.Counts.SavePCs++
+			if tr := ctl.Tracer; tr != nil {
+				tr.Emit(telemetry.EvSavePC, now, d.Imm, 0, 0, 0)
+			}
 			*compute = comp
 			mc := ms.Store(now+ns, ir.PCSlotAddr, d.Imm, false)
 			comp = *compute
@@ -657,76 +437,25 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 		}
 
 		pc = next
-		if ns < int64(len(eByNs)) {
+		if eByNs := ctl.EByNs; ns < int64(len(eByNs)) {
 			comp += eByNs[ns]
 		} else {
-			comp += eInstr + pRun*float64(ns)*1e-9
+			comp += ctl.EInstr + ctl.PRun*float64(ns)*1e-9
 		}
 		now += ns
 
-		cl := d.Class
-		if fetchFree && isa.ClassFlags[cl] == 0 {
-			// Pure-compute fast path: not a delimiter, cannot halt,
-			// cannot touch the memory system — so scheme state is
-			// unchanged and the budget comparison is skippable while
-			// Compute stays below the watermark. The latency-bound and
-			// segment-deadline compares are the same tests as below.
-			ri++
-			if ns >= maxInstrNs || now >= segDeadline {
+		if k := tail[d.Class]; k != tailSkip {
+			stop := false
+			if k == tailLong || comp >= cSafe {
+				stop, cSafe = ctl.slowTail(k, d.Class, executed, comp, cSafe, &regionBase)
+			}
+			if stop || ns >= ctl.MaxInstrNs || now >= ctl.SegDeadline {
 				break
 			}
-			if comp < cSafe {
-				continue
-			}
-			*compute = comp // the fold reads the live ledger field
-			tt := led.Total()
-			if tt-ledStart >= budget {
-				break
-			}
-			slack := budget - (tt - ledStart)
-			if slack > (tt+1)*1e-9 {
-				cSafe = comp + 0.5*slack
-			} else {
-				cSafe = comp
-			}
-			continue
-		}
-		memTouch := !fetchFree || cl.TouchesMemSystem()
-		needBk := false
-		if jit && memTouch {
-			needBk = ec.NeedsBackup()
-		}
-		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-			ec.OnRegionEnd(ri)
-			ri = 0
-		} else {
-			ri++
-		}
-		// cl == ClassHalt iff the core just halted: the core enters the
-		// epoch running and only the Halt case sets Halted.
-		if cl == isa.ClassHalt || ns >= maxInstrNs ||
-			now >= segDeadline {
-			break
-		}
-		if memTouch || comp >= cSafe {
-			*compute = comp // the fold reads the live ledger field
-			tt := led.Total()
-			if tt-ledStart >= budget {
-				break
-			}
-			slack := budget - (tt - ledStart)
-			if slack > (tt+1)*1e-9 {
-				cSafe = comp + 0.5*slack
-			} else {
-				cSafe = comp
-			}
-		}
-		if needBk {
-			break
 		}
 	}
 	c.PC = pc
 	c.Counts.Executed = executed
 	*compute = comp
-	return now - start, ri
+	return now - start, int(executed - regionBase)
 }

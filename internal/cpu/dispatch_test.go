@@ -1,10 +1,9 @@
 package cpu
 
-// Lockstep equivalence for the predecoded interpreter entry points: a
-// core built from raw code (New, which predecodes itself) and a core
-// reusing the linker's decode table (NewLinked) must retire the same
-// instructions with the same costs, and Step must be a thin wrapper over
-// StepFast.
+// Equivalence for the predecoded interpreter entry points: a core built
+// from raw code (New, which predecodes itself) and a core reusing the
+// linker's decode table (NewLinked) must retire the same instructions
+// with the same costs.
 
 import (
 	"testing"
@@ -28,10 +27,9 @@ func TestNewLinkedMatchesNew(t *testing.T) {
 	mb := newFlatMem()
 	for step := 0; step < 5_000_000 && !a.Halted; step++ {
 		nsA := a.Step(0, ma, timing).Ns
-		nsB, cl := b.StepFast(0, mb, timing)
+		nsB := b.Step(0, mb, timing).Ns
 		if nsA != nsB || a.PC != b.PC {
-			t.Fatalf("step %d: (ns=%d, pc=%d) vs (ns=%d, pc=%d, class=%d)",
-				step, nsA, a.PC, nsB, b.PC, cl)
+			t.Fatalf("step %d: (ns=%d, pc=%d) vs (ns=%d, pc=%d)", step, nsA, a.PC, nsB, b.PC)
 		}
 	}
 	if !a.Halted || !b.Halted {
@@ -39,22 +37,5 @@ func TestNewLinkedMatchesNew(t *testing.T) {
 	}
 	if a.Regs != b.Regs || a.Counts != b.Counts {
 		t.Errorf("final state diverges:\n%v\n%v", a.Counts, b.Counts)
-	}
-}
-
-func TestClassAt(t *testing.T) {
-	w, err := workloads.ByName("sha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := ir.Link(w.Build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewLinked(l)
-	for pc := int64(0); pc < int64(len(l.Code)); pc++ {
-		if got, want := c.ClassAt(pc), l.Code[pc].Op.Class(); got != want {
-			t.Fatalf("pc %d: ClassAt = %d, Op.Class = %d", pc, got, want)
-		}
 	}
 }

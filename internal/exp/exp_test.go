@@ -56,6 +56,45 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
+// TestFig8GrowsWithCache pins EXPERIMENTS.md's Figure 8 row: under
+// RFOffice, SweepCache's geomean speedup over NVP rises strictly with
+// every cache size step. On the quick set it climbs 4.92, 6.09, 8.79,
+// 12.86, 13.42, 13.63 from 512 B to 16 kB.
+func TestFig8GrowsWithCache(t *testing.T) {
+	r, err := quickCtx().Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(r.Sizes); i++ {
+		lo, hi := r.Sizes[i-1], r.Sizes[i]
+		if a, b := r.Speedup[lo][arch.SweepEmptyBit], r.Speedup[hi][arch.SweepEmptyBit]; !(b > a) {
+			t.Errorf("Sweep at %s (%.2f) must beat Sweep at %s (%.2f)", sizeLabel(hi), b, sizeLabel(lo), a)
+		}
+	}
+}
+
+// TestFig10SweepBestOnEveryTrace pins EXPERIMENTS.md's Figure 10 row:
+// SweepCache has the highest geomean speedup over NVP under each of the
+// four power traces. On the quick set the nearest rival is NVSRAM
+// everywhere (12.86 vs 7.83 on RFOffice, 20.26 vs 11.07 on RFHome, 14.02
+// vs 8.88 on solar, 15.56 vs 9.82 on thermal).
+func TestFig10SweepBestOnEveryTrace(t *testing.T) {
+	r, err := quickCtx().Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Speedup) != len(trace.Profiles()) {
+		t.Fatalf("%d traces, want %d", len(r.Speedup), len(trace.Profiles()))
+	}
+	for pr, g := range r.Speedup {
+		for _, k := range fig10Kinds {
+			if k != arch.SweepEmptyBit && !(g[arch.SweepEmptyBit] > g[k]) {
+				t.Errorf("%s: Sweep (%.2f) must beat %v (%.2f)", pr, g[arch.SweepEmptyBit], k, g[k])
+			}
+		}
+	}
+}
+
 // TestTable2Outages pins EXPERIMENTS.md's Table 2 rows on the quick set:
 // at 100 nF and at 470 nF the average outage count orders NVP >
 // ReplayCache > NVSRAM > Sweep, and from 100 µF up no scheme loses power.
@@ -134,6 +173,17 @@ func TestFig13EnergyBreakdown(t *testing.T) {
 	for _, k := range fig13Kinds {
 		if r.TotalPct[k] >= 60 {
 			t.Errorf("%v total energy %.1f%% of NVP — caching should slash it", k, r.TotalPct[k])
+		}
+	}
+	// Figure 13's row in EXPERIMENTS.md: SweepCache's backup+restore
+	// share of NVP's is far below both JIT designs' (0.16% vs 13.14% for
+	// ReplayCache and 15.18% for NVSRAM on the quick set). The paper also
+	// puts ReplayCache above NVSRAM, but that ordering flips on the quick
+	// set, so it is not pinned here.
+	share := func(k arch.Kind) float64 { return r.BackupPct[k] + r.RestorePct[k] }
+	for _, k := range []arch.Kind{arch.ReplayCache, arch.NVSRAM} {
+		if !(share(arch.SweepEmptyBit) < share(k)) {
+			t.Errorf("Sweep backup+restore %.2f%% must be below %v's %.2f%%", share(arch.SweepEmptyBit), k, share(k))
 		}
 	}
 }

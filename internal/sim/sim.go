@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 
@@ -29,7 +28,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/energy"
 	"repro/internal/ir"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -60,13 +58,13 @@ type Options struct {
 	// Tracer receives the run's telemetry events; nil (the default)
 	// disables tracing at the cost of one branch per emit site.
 	Tracer *telemetry.Tracer
-	// Precise forces the reference engine: capacitor settlement (ledger
-	// sum, harvest integration, draw) after every retired instruction.
-	// The default engine batches settlements over epochs sized so that
-	// no voltage trigger can fire inside one, falling back to precise
-	// stepping near the thresholds; TestBatchedMatchesPrecise proves the
-	// two produce byte-identical results and telemetry. Precise remains
-	// for differential testing and debugging. See docs/PERFORMANCE.md.
+	// Precise forces the reference engine: every interpreter call retires
+	// one instruction and is settled at once (harvest, then draw). The
+	// default engine settles once per epoch, sized so that no voltage
+	// trigger can fire inside one, and falls back to one-instruction
+	// calls near the thresholds; TestBatchedMatchesPrecise proves the two
+	// produce byte-identical results and telemetry. Precise is the test
+	// oracle for that proof and a debugging aid. See docs/PERFORMANCE.md.
 	Precise bool
 }
 
@@ -230,11 +228,6 @@ func (r *Result) Metrics() *telemetry.Snapshot {
 	return reg.Snapshot()
 }
 
-// debugOutages, enabled by setting the SIM_DEBUG environment variable,
-// prints one line per power cycle (failure point, restored PC, voltage) —
-// the quickest way to see a recovery protocol misbehaving.
-var debugOutages = os.Getenv("SIM_DEBUG") != ""
-
 // ErrStagnation reports a power source too weak to ever recharge the
 // capacitor to the restore threshold.
 var ErrStagnation = errors.New("sim: stagnation — power source cannot recharge the capacitor")
@@ -278,18 +271,17 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Err }
 
-// cancelPollInterval is how many engine-loop iterations (epochs, precise
-// steps, or traced instructions) elapse between context polls. The poll is
-// a single counter decrement on the common path, so cancellation support
-// costs nothing measurable; the interval bounds cancellation latency to a
-// few thousand instructions of simulated work.
+// cancelPollInterval is how many driver iterations (interpreter calls
+// plus power cycles) elapse between context polls. The poll is a single
+// counter decrement on the common path, so cancellation support costs
+// nothing measurable; the interval bounds cancellation latency to a few
+// thousand instructions of simulated work.
 const cancelPollInterval = 1024
 
-// cancelChunkInstrs bounds one fused RunUntraced call when a context is
-// attached: plain binaries (NVP) have no region delimiters, so without a
-// chunk bound a single call could run the whole program and never observe
-// the cancellation. The chunk is large enough that the extra call overhead
-// vanishes (one call per ~1M instructions).
+// cancelChunkInstrs bounds one unbounded interpreter call when a context
+// is attached: without it a single call could run the whole program and
+// never observe the cancellation. The chunk is large enough that the
+// extra call overhead vanishes (one call per ~1M instructions).
 const cancelChunkInstrs = 1 << 20
 
 // InitNVM loads the program's data image and recovery PC slot into the
@@ -397,11 +389,9 @@ const minEpochInstrs = 64
 // batched and precise engines, keeping their traces byte-identical.
 func quantV(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
-// runner is one simulation run's mutable state, shared by the three
-// engine loops (precise, outage-free, batched) and the power-event
-// handlers so that all paths drive identical protocol code.
+// runner is one simulation run's mutable state: the driver loop, its
+// three kinds of interpreter call and the power-event handlers.
 type runner struct {
-	l      *ir.Linked
 	s      arch.Scheme
 	ms     cpu.MemSystem // s, converted once: keeps convI2I off the hot loop
 	opt    Options
@@ -417,22 +407,11 @@ type runner struct {
 	now          int64
 	armed        bool
 	regionInstrs int
-	// ec parameterizes the fused epoch loop (untraced harvested-power
-	// runs); run-constant fields are filled once by runBatched, the
-	// per-epoch fields by runEpoch.
-	ec cpu.EpochControl
-	// fetchFree mirrors the core's fetch elision: when set, pure-compute
-	// instructions provably never enter the memory system, so scheme
-	// queries (NeedsBackup) hold across them.
-	fetchFree bool
-
-	// eInstrByNs tabulates EInstr + PRun*ns*1e-9 per instruction latency,
-	// pre-filled by Run for every ns below the table length (latencies
-	// cluster on cycle multiples plus fixed memory costs). The table
-	// converts the per-instruction float conversion and multiplies into
-	// one load; each entry is the bit-exact result of the original
-	// expression, so ledger totals are unchanged.
-	eInstrByNs []float64
+	// freeCtl and epochCtl parameterize the interpreter calls: the same
+	// ledger charge and sinks, and the stop rules of an unbounded call
+	// (freeCtl, also used for single instructions) or of an epoch (the
+	// budget and segment deadline are set per epoch).
+	freeCtl, epochCtl cpu.Control
 
 	// Forward-progress guard: a configuration whose per-cycle energy
 	// window cannot cover even one instruction (plus its own restore
@@ -446,8 +425,8 @@ type runner struct {
 	cancelCountdown int
 }
 
-// pollCancel is the engine loops' cancellation check: a counter decrement
-// on the common path, a context poll every cancelPollInterval calls.
+// pollCancel is the driver's cancellation check: a counter decrement on
+// the common path, a context poll every cancelPollInterval calls.
 func (r *runner) pollCancel() error {
 	if r.ctx == nil {
 		return nil
@@ -496,29 +475,42 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	InitNVM(s, l)
 	s.SetTracer(opt.Tracer)
 	core := cpu.NewLinked(l)
-	fetchFree := false
 	if ff, ok := s.(cpu.FreeFetcher); ok && ff.FetchIsFree() {
 		core.SetFetchFree(true)
-		fetchFree = true
 	}
 	s.Boot(int64(l.EntryPC))
 
 	r := &runner{
-		l:         l,
-		s:         s,
-		ms:        s,
-		opt:       opt,
-		p:         p,
-		core:      core,
-		led:       s.Ledger(),
-		cap:       energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
-		tr:        opt.Tracer,
-		res:       &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
-		timing:    cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
-		armed:     true,
-		fetchFree: fetchFree,
-
-		eInstrByNs: eInstrTable(p.EInstr, p.PRun),
+		s:      s,
+		ms:     s,
+		opt:    opt,
+		p:      p,
+		core:   core,
+		led:    s.Ledger(),
+		cap:    energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
+		tr:     opt.Tracer,
+		res:    &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
+		timing: cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
+		armed:  true,
+	}
+	// The per-latency energy table turns the per-instruction float
+	// conversion and multiplies into one load; each entry is the bit-exact
+	// result of EInstr + PRun*ns*1e-9, so ledger totals are unchanged.
+	r.freeCtl = cpu.Control{
+		EByNs:       eInstrTable(p.EInstr, p.PRun),
+		EInstr:      p.EInstr,
+		PRun:        p.PRun,
+		Led:         r.led,
+		Budget:      math.Inf(1),
+		SegDeadline: math.MaxInt64,
+		MaxInstrNs:  math.MaxInt64,
+		OnRegionEnd: r.res.RegionSizes.Add,
+		Tracer:      opt.Tracer,
+	}
+	r.epochCtl = r.freeCtl
+	r.epochCtl.MaxInstrNs = epochMaxInstrNs
+	if s.JIT() {
+		r.epochCtl.NeedsBackup = s.NeedsBackup
 	}
 	if opt.Source != nil {
 		r.cursor = trace.NewCursor(opt.Source)
@@ -540,15 +532,7 @@ func Run(l *ir.Linked, s arch.Scheme, opt Options) (*Result, error) {
 	if err := r.checkCancel(); err != nil {
 		return r.res, err
 	}
-	switch {
-	case opt.Precise:
-		err = r.runPrecise()
-	case r.cursor == nil:
-		err = r.runOutageFree()
-	default:
-		err = r.runBatched()
-	}
-	if err != nil {
+	if err := r.run(); err != nil {
 		return r.res, err
 	}
 	r.finish()
@@ -594,9 +578,6 @@ func (r *runner) powerCycle() error {
 		r.zeroProgress = 0
 	}
 	r.lastOutageExec = core.Counts.Executed
-	if debugOutages {
-		fmt.Printf("OUTAGE %d at now=%d pc=%d executed=%d V=%.3f r0=%d\n", res.Outages, r.now, core.PC, core.Counts.Executed, cap.V(), core.Regs[0])
-	}
 	res.Outages++
 	r.tr.Emit(telemetry.EvOutageBegin, r.now, int64(res.Outages), 0, 0, quantV(cap.V()))
 	chargeBefore := res.ChargeNs
@@ -618,9 +599,6 @@ func (r *runner) powerCycle() error {
 	before := led.Total()
 	restoreStart := r.now
 	pc, rcost := s.Restore(r.now, &core.Regs)
-	if debugOutages {
-		fmt.Printf("  RESTORE -> pc=%d V=%.3f r0=%d r13=%d\n", pc, cap.V(), core.Regs[0], core.Regs[13])
-	}
 	r.tr.Emit(telemetry.EvRestore, restoreStart, pc, rcost.Ns, 0, 0)
 	core.PC = pc
 	cap.Draw(led.Total() - before)
@@ -689,52 +667,16 @@ func (r *runner) preInstrEvents() (handled bool, err error) {
 	return false, nil
 }
 
-// preStepEmit reports compiler-inserted checkpoint activity. Callers only
-// invoke it when a tracer is attached, keeping the per-instruction switch
-// off the disabled hot path.
-func (r *runner) preStepEmit() {
-	d := &r.l.Dec[r.core.PC]
-	switch d.Class {
-	case isa.ClassCkptSt:
-		r.tr.Emit(telemetry.EvCkptStore, r.now, int64(d.Src2), 0, 0, 0)
-	case isa.ClassSavePC:
-		r.tr.Emit(telemetry.EvSavePC, r.now, d.Imm, 0, 0, 0)
-	}
-}
-
-// noteRegion maintains the region-size histogram after an instruction of
-// dispatch class cl retires.
-func (r *runner) noteRegion(cl isa.Class) {
-	if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-		r.res.RegionSizes.Add(r.regionInstrs)
-		r.regionInstrs = 0
-	} else {
-		r.regionInstrs++
-	}
-}
-
-// stepPrecise retires one instruction with immediate capacitor
-// settlement — the reference accounting sequence both the precise engine
-// and the batched engine's near-threshold fallback execute.
-func (r *runner) stepPrecise() {
-	if r.tr != nil {
-		r.preStepEmit()
-	}
-	before := r.led.Total()
-	ns, cl := r.core.StepFast(r.now, r.ms, r.timing)
-	r.led.Compute += r.instrEnergy(ns)
-	if r.cursor != nil {
-		r.cap.Add(r.cursor.Harvest(ns))
-	}
-	r.cap.Draw(r.led.Total() - before)
-	r.now += ns
-	r.res.RunNs += ns
-	r.noteRegion(cl)
-}
-
-// runPrecise is the reference engine: power events checked and capacitor
-// settled before/after every instruction.
-func (r *runner) runPrecise() error {
+// run is the engine's one driver loop. Each iteration checks the
+// instruction cap and cancellation, runs the pre-instruction power
+// protocol when a power trace is attached, and then makes one interpreter
+// call: an unbounded one with no power trace (nothing can cross a
+// threshold, and nothing observable reads the capacitor), an epoch under
+// deferred settlement when the stored energy is provably far from every
+// trigger, and otherwise one instruction settled at once. Options.Precise
+// forces the one-instruction call every time.
+func (r *runner) run() error {
+	jit := r.s.JIT()
 	for !r.core.Halted {
 		if r.core.Counts.Executed >= r.opt.MaxInstructions {
 			return r.budgetErr()
@@ -751,98 +693,66 @@ func (r *runner) runPrecise() error {
 				continue
 			}
 		}
-		r.stepPrecise()
-	}
-	return nil
-}
-
-// instrEnergy returns the instruction's ledger charge, bit-identical to
-// computing p.EInstr + p.PRun*float64(ns)*1e-9 inline (the table holds
-// exactly that value, pre-filled by Run; float arithmetic is
-// deterministic). The common path is one bounds test and one load.
-func (r *runner) instrEnergy(ns int64) float64 {
-	if ns < int64(len(r.eInstrByNs)) {
-		return r.eInstrByNs[ns]
-	}
-	return r.p.EInstr + r.p.PRun*float64(ns)*1e-9
-}
-
-// runOutageFree is the ideal-supply engine (the Figure 5 configuration).
-// With no power trace the capacitor can never cross a threshold and
-// nothing observable ever reads it, so the loop carries no capacitor work
-// at all. The ledger — which IS observable — is maintained with exactly
-// the precise path's per-instruction arithmetic, so results stay
-// byte-identical with Options.Precise.
-func (r *runner) runOutageFree() error {
-	core, led, tr := r.core, r.led, r.tr
-	ms, timing := r.ms, r.timing
-	max := r.opt.MaxInstructions
-	hist := r.res.RegionSizes
-	// Loop state lives in plain locals (no closure captures them, so they
-	// stay in registers across the interpreter call); synced back on loop
-	// exit, and before any emit, which reads r.now.
-	now, runNs, ri := r.now, r.res.RunNs, r.regionInstrs
-	if tr == nil {
-		// No tracer: the fused interpreter loop retires whole regions per
-		// call, with the identical per-instruction ledger arithmetic (the
-		// traced-versus-untraced matrix test pins the equivalence). With a
-		// context attached, each call is additionally capped at
-		// cancelChunkInstrs so delimiter-free binaries still observe
-		// cancellation; the chunk boundary only changes where the outer
-		// loop re-enters, never any retired state.
-		for !core.Halted {
-			lim := max
-			if r.ctx != nil {
-				if c := core.Counts.Executed + cancelChunkInstrs; c < lim {
-					lim = c
-				}
-				if err := r.checkCancel(); err != nil {
-					r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
-					return err
-				}
-			}
-			ns, n, delim := core.RunUntraced(now, ms, timing,
-				r.eInstrByNs, r.p.EInstr, r.p.PRun, &led.Compute, lim)
-			now += ns
-			runNs += ns
-			if delim {
-				hist.Add(ri + n - 1)
-				ri = 0
-				continue
-			}
-			ri += n
-			if !core.Halted && core.Counts.Executed >= max {
-				break // instruction budget
-			}
-		}
-	} else {
-		for !core.Halted {
-			if core.Counts.Executed >= max {
-				break
-			}
-			if err := r.pollCancel(); err != nil {
-				r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
+		// An unbounded call or an epoch can retire millions of
+		// instructions; poll unconditionally before one so cancellation
+		// latency is bounded by one call, not cancelPollInterval of them.
+		switch {
+		case r.opt.Precise:
+			r.step()
+		case r.cursor == nil:
+			if err := r.checkCancel(); err != nil {
 				return err
 			}
-			r.now = now
-			r.preStepEmit()
-			ns, cl := core.StepFast(now, ms, timing)
-			led.Compute += r.instrEnergy(ns)
-			now += ns
-			runNs += ns
-			if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-				hist.Add(ri)
-				ri = 0
-			} else {
-				ri++
+			r.unbounded()
+		default:
+			budget := r.epochBudget(jit)
+			if budget <= 0 {
+				r.step()
+				continue
 			}
+			if err := r.checkCancel(); err != nil {
+				return err
+			}
+			r.epoch(budget)
 		}
 	}
-	r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
-	if !core.Halted {
-		return r.budgetErr()
-	}
 	return nil
+}
+
+// exec makes one interpreter call under ctl's stop rules, capped at max
+// instructions in all, and books its elapsed time.
+func (r *runner) exec(ctl *cpu.Control, max uint64) int64 {
+	ctl.Max, ctl.RegionInstrs = max, r.regionInstrs
+	ns, ri := r.core.Run(r.now, r.ms, r.timing, ctl)
+	r.now += ns
+	r.res.RunNs += ns
+	r.regionInstrs = ri
+	return ns
+}
+
+// step retires one instruction with immediate capacitor settlement
+// (harvest, then draw): the reference accounting sequence.
+func (r *runner) step() {
+	before := r.led.Total()
+	ns := r.exec(&r.freeCtl, r.core.Counts.Executed+1)
+	if r.cursor != nil {
+		r.cap.Add(r.cursor.Harvest(ns))
+		r.cap.Draw(r.led.Total() - before)
+	}
+}
+
+// unbounded retires instructions with no power trace, to halt or the
+// instruction cap. With a context attached each call stops after
+// cancelChunkInstrs; the chunk boundary only changes where the driver
+// re-enters, never any retired state.
+func (r *runner) unbounded() {
+	max := r.opt.MaxInstructions
+	if r.ctx != nil {
+		if c := r.core.Counts.Executed + cancelChunkInstrs; c < max {
+			max = c
+		}
+	}
+	r.exec(&r.freeCtl, max)
 }
 
 // epochBudget returns the energy (joules) the engine may consume under
@@ -899,162 +809,27 @@ func (r *runner) epochBudget(jit bool) float64 {
 	return budget
 }
 
-// runEpoch retires instructions under one deferred capacitor settlement.
+// epoch retires instructions under one deferred capacitor settlement.
 // The epoch closes when the ledger delta reaches the budget, when the
-// next instruction might not fit in the current power-trace segment, on
-// a structural backup request, on halt, or at the instruction budget.
-func (r *runner) runEpoch(jit bool, budget float64) {
-	core, led, tr, s := r.core, r.led, r.tr, r.s
-	ms, timing := r.ms, r.timing
-	ledStart := led.Total()
-	segRem := r.cursor.SegmentRemaining()
-	if tr == nil {
-		// No tracer: one fused interpreter call retires the whole epoch
-		// (the traced-versus-untraced matrix test pins the equivalence).
-		// The initial backup check mirrors the per-step loop's first
-		// iteration: a pending request ends the epoch before any
-		// instruction retires.
-		var epochNs int64
-		if !(jit && s.NeedsBackup()) {
-			ec := &r.ec
-			ec.LedStart, ec.Budget, ec.SegRem = ledStart, budget, segRem
-			ec.RegionInstrs = r.regionInstrs
-			elapsed, ri := core.RunEpoch(r.now, ms, timing, ec)
-			r.now += elapsed
-			r.res.RunNs += elapsed
-			r.regionInstrs = ri
-			epochNs = elapsed
-		}
-		r.cap.Draw(led.Total() - ledStart)
-		r.cap.Add(r.cursor.Harvest(epochNs))
-		return
-	}
-	max := r.opt.MaxInstructions
-	hist := r.res.RegionSizes
-	now, runNs, ri := r.now, r.res.RunNs, r.regionInstrs
+// next instruction might not fit in the current power-trace segment,
+// after an instruction at least epochMaxInstrNs long, on a structural
+// backup request, on halt, or at the instruction cap. A pending backup
+// request ends the epoch before any instruction retires.
+func (r *runner) epoch(budget float64) {
+	ledStart := r.led.Total()
 	var epochNs int64
-	// NeedsBackup is an interface call per iteration, but scheme state
-	// only changes across instructions that enter the memory system, so
-	// the answer is re-queried only after those (or after every
-	// instruction when fetches are charged — a fetch enters the scheme
-	// too). Branch outcomes are identical to querying every iteration.
-	needBk := jit && s.NeedsBackup()
-	// cSafe is a Compute watermark below which the budget comparison is
-	// provably still false, so the exact ledger fold can be skipped on
-	// pure-compute instructions. Soundness: Total() is monotone
-	// non-decreasing in Compute with the other fields held fixed (IEEE
-	// round-to-nearest addition is monotone in each operand, and the fold
-	// composes monotone steps), and the other fields can change only when
-	// an instruction enters the memory system. Starting at Compute forces
-	// an exact evaluation on the first instruction (energies are
-	// non-negative). Whenever the budget comparison matters it is
-	// evaluated with the exact original expression, so the epoch boundary
-	// — and every downstream bit — is unchanged.
-	cSafe := led.Compute
-	for {
-		if needBk {
-			break
-		}
-		if core.Counts.Executed >= max {
-			break
-		}
-		if tr != nil {
-			r.now = now
-			r.preStepEmit()
-		}
-		ns, cl := core.StepFast(now, ms, timing)
-		led.Compute += r.instrEnergy(ns)
-		now += ns
-		runNs += ns
-		epochNs += ns
-		memTouch := !r.fetchFree || cl.TouchesMemSystem()
-		if jit && memTouch {
-			needBk = s.NeedsBackup()
-		}
-		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-			hist.Add(ri)
-			ri = 0
-		} else {
-			ri++
-		}
-		if core.Halted || ns >= epochMaxInstrNs ||
-			epochNs+epochMaxInstrNs >= segRem {
-			break
-		}
-		if memTouch || led.Compute >= cSafe {
-			t := led.Total()
-			if t-ledStart >= budget {
-				break
-			}
-			// Re-arm the watermark at half the remaining slack: the
-			// half not granted dwarfs the rounding drift between the
-			// incremental Compute adds and the fresh fold (~1e-15
-			// relative), so crossing the budget while below cSafe is
-			// impossible. Near the epoch's end the slack collapses and
-			// the floor forces exact evaluation every instruction.
-			slack := budget - (t - ledStart)
-			if slack > (t+1)*1e-9 {
-				cSafe = led.Compute + 0.5*slack
-			} else {
-				cSafe = led.Compute
-			}
-		}
+	ctl := &r.epochCtl
+	if ctl.NeedsBackup == nil || !ctl.NeedsBackup() {
+		ctl.LedStart, ctl.Budget = ledStart, budget
+		ctl.SegDeadline = r.now + r.cursor.SegmentRemaining() - epochMaxInstrNs
+		epochNs = r.exec(ctl, r.opt.MaxInstructions)
 	}
-	r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
 	// Settle: draw first — the epoch invariant keeps the floor distant,
 	// and with the source weaker than the run draw the net flow is
 	// negative, so this order can touch neither the zero floor nor the
 	// Vmax clamp.
-	r.cap.Draw(led.Total() - ledStart)
+	r.cap.Draw(r.led.Total() - ledStart)
 	r.cap.Add(r.cursor.Harvest(epochNs))
-}
-
-// runBatched is the production engine for harvested-power runs: the
-// power protocol of runPrecise at every epoch boundary, with the
-// per-instruction capacitor work amortized across whole epochs whenever
-// the stored energy is provably far from every trigger threshold.
-func (r *runner) runBatched() error {
-	jit := r.s.JIT()
-	if r.tr == nil {
-		r.ec = cpu.EpochControl{
-			EByNs:       r.eInstrByNs,
-			EInstr:      r.p.EInstr,
-			PRun:        r.p.PRun,
-			Max:         r.opt.MaxInstructions,
-			Jit:         jit,
-			NeedsBackup: r.s.NeedsBackup,
-			Led:         r.led,
-			MaxInstrNs:  epochMaxInstrNs,
-			OnRegionEnd: r.res.RegionSizes.Add,
-		}
-	}
-	for !r.core.Halted {
-		if r.core.Counts.Executed >= r.opt.MaxInstructions {
-			return r.budgetErr()
-		}
-		if err := r.pollCancel(); err != nil {
-			return err
-		}
-		handled, err := r.preInstrEvents()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		if budget := r.epochBudget(jit); budget > 0 {
-			// An epoch retires up to millions of instructions under one
-			// settlement; poll unconditionally so cancellation latency is
-			// bounded by one epoch, not cancelPollInterval of them.
-			if err := r.checkCancel(); err != nil {
-				return err
-			}
-			r.runEpoch(jit, budget)
-		} else {
-			r.stepPrecise()
-		}
-	}
-	return nil
 }
 
 // finish settles background persistence and fills the result.

@@ -1,12 +1,12 @@
 package sim_test
 
-// The engine runs a fused interpreter loop (cpu.RunUntraced) when no
-// tracer is attached, and the per-step loop when one is. Both must produce
-// the same Result down to the last bit — the benchmarks and production
-// runs use the fused loop, while the golden digests are captured through
-// the traced loop. This test pins the equivalence across the full quick
-// matrix in both supply regimes, which (together with TestFastPathGolden)
-// extends the byte-identity proof to the untraced path.
+// Tracing is not a separate engine path: cpu.Run emits the checkpoint
+// events behind a nil check, and every other event is emitted between
+// interpreter calls. Attaching a tracer must still change no result bit —
+// the benchmarks and production runs are untraced, while the golden
+// digests are captured with a tracer attached. This test pins that across
+// the full quick matrix in both supply regimes, which (together with
+// TestFastPathGolden) extends the byte-identity proof to untraced runs.
 
 import (
 	"bytes"
