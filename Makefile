@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
+.PHONY: all build fmt-check test vet bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
 
 all: check
 
@@ -12,6 +12,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt -l lists every file it would rewrite, and any
+# listed file fails the target.
+fmt-check:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # The full evaluation-in-miniature: one benchmark per paper table/figure.
 bench:
@@ -69,7 +74,7 @@ dist-smoke:
 	$(GO) test -race -count=1 ./internal/dist/
 	./scripts/dist_smoke.sh
 
-check: build vet test
+check: build fmt-check vet test
 
 clean:
 	$(GO) clean ./...

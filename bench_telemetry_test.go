@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -36,7 +37,7 @@ func benchRun(b *testing.B, bench string, kind arch.Kind, mkSink func() telemetr
 			tr = telemetry.NewTracer(mkSink(), 0)
 		}
 		src := trace.New(trace.RFOffice, 1)
-		if _, err := core.RunTraced(build, kind, p, src, tr); err != nil {
+		if _, err := core.RunTracedCtx(context.Background(), build, kind, p, src, tr); err != nil {
 			b.Fatal(err)
 		}
 		if err := tr.Close(); err != nil {

@@ -63,31 +63,32 @@ func (k Kind) CompilerMode() int {
 }
 
 // Stats collects scheme-level counters beyond the CPU's instruction counts.
+// The tags are part of the durable record format (see sim.Result).
 type Stats struct {
 	// Region-level parallelism accounting (Section 6.3): TpNs is the
 	// persistence latency without parallelism, TwaitNs the actual wait.
-	TpNs    int64
-	TwaitNs int64
+	TpNs    int64 `json:"tp_ns"`
+	TwaitNs int64 `json:"twait_ns"`
 
-	RegionsExecuted uint64
+	RegionsExecuted uint64 `json:"regions"`
 	// StoresPerRegion samples the dynamic store count of each executed
 	// region (Figure 12b).
-	StoresPerRegion *stats.Hist
+	StoresPerRegion *stats.Hist `json:"stores_per_region,omitempty"`
 
 	// Persist-buffer search behaviour (Section 4.4).
-	BufferSearches uint64 // searches actually performed
-	BufferBypasses uint64 // searches skipped thanks to the empty-bit
-	BufferHits     uint64 // misses served from a buffer
+	BufferSearches uint64 `json:"buffer_searches"` // searches actually performed
+	BufferBypasses uint64 `json:"buffer_bypasses"` // searches skipped thanks to the empty-bit
+	BufferHits     uint64 `json:"buffer_hits"`     // misses served from a buffer
 
-	WAWStallNs   int64 // Section 4.3 stalls
-	FenceStallNs int64
-	ClwbStallNs  int64
+	WAWStallNs   int64 `json:"waw_stall_ns"` // Section 4.3 stalls
+	FenceStallNs int64 `json:"fence_stall_ns"`
+	ClwbStallNs  int64 `json:"clwb_stall_ns"`
 
-	BackupEvents   uint64
-	RestoreEvents  uint64
-	LinesBackedUp  uint64
-	ReplayedStores uint64
-	RedoneDrains   uint64
+	BackupEvents   uint64 `json:"backups"`
+	RestoreEvents  uint64 `json:"restores"`
+	LinesBackedUp  uint64 `json:"lines_backed_up"`
+	ReplayedStores uint64 `json:"replayed_stores"`
+	RedoneDrains   uint64 `json:"redone_drains"`
 }
 
 // base carries the plumbing every scheme shares. tr is nil unless the

@@ -431,9 +431,9 @@ func TestPeepholeRemovesDeadCode(t *testing.T) {
 	f := p.NewFunc("main")
 	arr := p.Alloc(64)
 	en := f.Entry()
-	en.MovI(1, 42)    // dead: overwritten below before any use
-	en.MovI(1, 43)    // live: stored
-	en.Mov(2, 2)      // self-move: dead
+	en.MovI(1, 42) // dead: overwritten below before any use
+	en.MovI(1, 43) // live: stored
+	en.Mov(2, 2)   // self-move: dead
 	en.MovI(3, arr)
 	en.St(3, 0, 1)
 	en.MovI(4, 9) // dead: never used, dead at halt

@@ -41,17 +41,13 @@ func Compile(build Builder, kind arch.Kind, p config.Params) (*compiler.Result, 
 // Run compiles build for kind and executes it under the given power source
 // (nil = outage-free).
 func Run(build Builder, kind arch.Kind, p config.Params, src trace.Source) (*sim.Result, error) {
-	return RunTraced(build, kind, p, src, nil)
+	return RunTracedCtx(context.Background(), build, kind, p, src, nil)
 }
 
-// RunTraced is Run with a telemetry tracer attached to the engine and the
-// scheme; a nil tracer is the untraced fast path.
-func RunTraced(build Builder, kind arch.Kind, p config.Params, src trace.Source, tr *telemetry.Tracer) (*sim.Result, error) {
-	return RunTracedCtx(context.Background(), build, kind, p, src, tr)
-}
-
-// RunTracedCtx is RunTraced under a cancellation context: the engine polls
-// ctx at epoch boundaries and aborts with an error wrapping ctx.Err().
+// RunTracedCtx is Run with a telemetry tracer attached to the engine and
+// the scheme (a nil tracer is the untraced fast path), under a
+// cancellation context: the engine polls ctx at epoch boundaries and
+// aborts with an error wrapping ctx.Err().
 func RunTracedCtx(ctx context.Context, build Builder, kind arch.Kind, p config.Params, src trace.Source, tr *telemetry.Tracer) (*sim.Result, error) {
 	cres, err := Compile(build, kind, p)
 	if err != nil {
@@ -89,45 +85,4 @@ func RunCompiledCtx(ctx context.Context, cres *compiler.Result, kind arch.Kind, 
 // Speedup returns how much faster b finished than a (total wall-clock).
 func Speedup(a, b *sim.Result) float64 {
 	return float64(a.TimeNs) / float64(b.TimeNs)
-}
-
-// Comparison is the result of running one workload on several schemes.
-type Comparison struct {
-	Baseline *sim.Result
-	Results  map[arch.Kind]*sim.Result
-}
-
-// SpeedupOver returns kind's speedup over the comparison baseline.
-func (c *Comparison) SpeedupOver(kind arch.Kind) float64 {
-	return Speedup(c.Baseline, c.Results[kind])
-}
-
-// Compare runs build on NVP (the baseline) and on each requested scheme
-// under per-scheme fresh cursors of the same trace profile, so every
-// machine experiences the identical energy timeline. The timeline is a
-// shared tape: the synthetic generator runs once no matter how many
-// schemes replay it.
-func Compare(build Builder, kinds []arch.Kind, p config.Params, profile *trace.Profile, seed int64) (*Comparison, error) {
-	src := func() trace.Source {
-		if profile == nil {
-			return nil
-		}
-		return trace.NewShared(*profile, seed)
-	}
-	base, err := Run(build, arch.NVP, p, src())
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{Baseline: base, Results: map[arch.Kind]*sim.Result{arch.NVP: base}}
-	for _, k := range kinds {
-		if k == arch.NVP {
-			continue
-		}
-		r, err := Run(build, k, p, src())
-		if err != nil {
-			return nil, err
-		}
-		cmp.Results[k] = r
-	}
-	return cmp, nil
 }

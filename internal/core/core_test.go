@@ -69,27 +69,10 @@ func TestCrashConsistencySweep(t *testing.T) {
 		if got != want {
 			t.Errorf("%v: checksum %#x after %d outages, want %#x", kind, got, res.Outages, want)
 		}
+		if s := core.Speedup(res, golden); s <= 1 {
+			t.Errorf("%v: outage-free run only %.3fx as fast as the RFOffice run", kind, s)
+		}
 		t.Logf("%v: outages=%d time=%.1fms charge=%.1fms", kind, res.Outages,
 			float64(res.TimeNs)/1e6, float64(res.ChargeNs)/1e6)
-	}
-}
-
-// TestCompare drives the multi-scheme comparison façade.
-func TestCompare(t *testing.T) {
-	build := builder(t, "sha")
-	p := config.Default()
-	pr := trace.RFOffice
-	cmp, err := core.Compare(build, []arch.Kind{arch.SweepEmptyBit, arch.NVSRAM}, p, &pr, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Baseline == nil || cmp.Results[arch.SweepEmptyBit] == nil {
-		t.Fatal("missing results")
-	}
-	if s := cmp.SpeedupOver(arch.SweepEmptyBit); s <= 1 {
-		t.Errorf("sweep speedup %f", s)
-	}
-	if core.Speedup(cmp.Baseline, cmp.Baseline) != 1 {
-		t.Error("self speedup != 1")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func recordRun(t *testing.T, kind arch.Kind) []byte {
 	tr := telemetry.NewTracer(sink, 64) // small buffer: exercise mid-run flushes
 	src := trace.New(trace.RFOffice, 1)
 	build := func() *ir.Program { return w.Build(1) }
-	res, err := RunTraced(build, kind, config.Default(), src, tr)
+	res, err := RunTracedCtx(context.Background(), build, kind, config.Default(), src, tr)
 	if err != nil {
 		t.Fatalf("%v run: %v", kind, err)
 	}

@@ -9,17 +9,14 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/exp"
 	"repro/internal/service"
 	"repro/internal/workloads"
 )
 
-// QuickWorkloads is the sweep subset — two of each flavour (codec,
-// crypto, image, irregular), mirroring internal/exp's quick set — in
-// deterministic order.
-var QuickWorkloads = []string{
-	"adpcmenc", "blowfishenc", "dijkstra", "fft",
-	"gsmdec", "rijndaelenc", "sha", "susane",
-}
+// QuickWorkloads is the sweep subset, sorted: exp.QuickWorkloads, the
+// set `sweepexp -quick` runs.
+var QuickWorkloads = exp.QuickWorkloads
 
 // ParseWorkloads resolves a -workloads flag: "quick" (the sweep
 // subset), "all", or a comma-separated list of workload names.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,11 +133,12 @@ func (c *Context) printf(format string, args ...any) {
 	}
 }
 
-// quickSet is the sweep subset: two of each flavour (codec, crypto, image,
-// irregular).
-var quickSet = map[string]bool{
-	"adpcmenc": true, "gsmdec": true, "sha": true, "susane": true,
-	"dijkstra": true, "fft": true, "blowfishenc": true, "rijndaelenc": true,
+// QuickWorkloads is the sweep subset — two of each flavour (codec,
+// crypto, image, irregular) — sorted by name. Context.Quick runs it, and
+// so does a distributed campaign's "quick" workload set.
+var QuickWorkloads = []string{
+	"adpcmenc", "blowfishenc", "dijkstra", "fft",
+	"gsmdec", "rijndaelenc", "sha", "susane",
 }
 
 // Workloads returns the experiment's workload list.
@@ -145,7 +147,7 @@ func (c *Context) Workloads() []workloads.Workload {
 	if c.Quick {
 		var out []workloads.Workload
 		for _, w := range all {
-			if quickSet[w.Name] {
+			if slices.Contains(QuickWorkloads, w.Name) {
 				out = append(out, w)
 			}
 		}
@@ -321,7 +323,9 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	}
 
 	// Journal consultation: cells already proven under this exact
-	// configuration are reconstructed, not re-simulated.
+	// configuration are reconstructed, not re-simulated. The record is
+	// immutable and shared with the journal's index, so the result is a
+	// copy of it (with no NVM image, which is never journalled).
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var pending []int
@@ -329,7 +333,8 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	for idx, j := range jobs {
 		if c.Journal != nil {
 			if rec, ok := c.Journal.Lookup(j.id); ok {
-				results[idx] = rec.Result()
+				res := rec.Result
+				results[idx] = &res
 				journalHits++
 				c.Tracker.Skip(trkBase + idx)
 				continue
@@ -415,15 +420,14 @@ feed:
 
 	// Fold journal/chaos activity into the metrics accumulator.
 	if c.Metrics != nil && (c.Journal != nil || c.Chaos != nil) {
-		reg := telemetry.NewRegistry()
+		snap := telemetry.NewSnapshot()
 		if c.Journal != nil {
-			reg.Counter("journal.cells_reused").Add(uint64(journalHits))
+			snap.Counters["journal.cells_reused"] = uint64(journalHits)
 		}
 		if c.Chaos != nil {
-			reg.Counter("chaos.injected_panics").Add(c.Chaos.Panics() - chaosPanics)
-			reg.Counter("chaos.injected_cancels").Add(c.Chaos.Cancels() - chaosCancels)
+			snap.Counters["chaos.injected_panics"] = c.Chaos.Panics() - chaosPanics
+			snap.Counters["chaos.injected_cancels"] = c.Chaos.Cancels() - chaosCancels
 		}
-		snap := reg.Snapshot()
 		c.metricsMu.Lock()
 		err := c.Metrics.Merge(snap)
 		c.metricsMu.Unlock()

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"strconv"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -54,31 +56,9 @@ func kcolw(k arch.Kind) int {
 
 func sizeLabel(sz int) string {
 	if sz >= 1<<10 {
-		return itoa(sz>>10) + "kB"
+		return strconv.Itoa(sz>>10) + "kB"
 	}
-	return itoa(sz) + "B"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return strconv.Itoa(sz) + "B"
 }
 
 // CapacitorSweepResult is the data behind Figure 9 and Table 2.
@@ -96,11 +76,11 @@ type CapacitorSweepResult struct {
 func capLabel(f float64) string {
 	switch {
 	case f >= 1e-3:
-		return itoa(int(f*1e3+0.5)) + "mF"
+		return strconv.Itoa(int(f*1e3+0.5)) + "mF"
 	case f >= 1e-6:
-		return itoa(int(f*1e6+0.5)) + "uF"
+		return strconv.Itoa(int(f*1e6+0.5)) + "uF"
 	default:
-		return itoa(int(f*1e9+0.5)) + "nF"
+		return strconv.Itoa(int(f*1e9+0.5)) + "nF"
 	}
 }
 

@@ -45,18 +45,11 @@ func (c *Context) Recovery() (*RecoveryResult, error) {
 		if k == arch.ReplayCache {
 			totReplay, totOut = replayed, outs
 		}
-		c.printf("%-14v %14.2f %16.2f\n", k, r.AvgRestoreNs[k]/1e3, replayed/maxf(outs, 1))
+		c.printf("%-14v %14.2f %16.2f\n", k, r.AvgRestoreNs[k]/1e3, replayed/max(outs, 1))
 	}
 	if totOut > 0 {
 		r.AvgReplayed = totReplay / totOut
 	}
 	c.printf("\n")
 	return r, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

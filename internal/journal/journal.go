@@ -9,10 +9,13 @@
 // scale, scheme, trace profile, seed, a fingerprint of every simulation
 // parameter, and the engine revision), so a journal can never serve a
 // result produced under a different configuration or model version.
-// Records round-trip the simulation result exactly — encoding/json renders
-// float64 in shortest round-trip form, so a reloaded cell is bit-identical
-// to the freshly simulated one; the resume tests in internal/exp prove the
-// digests match across an interruption.
+// A record is the sim.Result's own JSON encoding — its struct tags are the
+// line format — with the final NVM image replaced by its hash, so a
+// reloaded result's NVM is always nil. Records round-trip the result
+// exactly — encoding/json renders float64 in shortest round-trip form, so
+// a reloaded cell is bit-identical to the freshly simulated one; the
+// resume tests in internal/exp prove the digests match across an
+// interruption.
 //
 // The file format is deliberately forgiving: a line that fails to parse,
 // fails its key check, or fails its digest check (a crash mid-append, a
@@ -32,11 +35,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/arch"
-	"repro/internal/cpu"
-	"repro/internal/energy"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // FormatVersion is the journal line format revision; lines with any other
@@ -68,126 +67,34 @@ func (c Cell) Key() string {
 	return hex.EncodeToString(h[:])
 }
 
-// Record is the durable form of a sim.Result. Every observable field is
-// kept except the final NVM image, which is replaced by its content hash
-// (NVMHash): the image exists for differential consistency checks during
-// the run, while the hash is what result digests and golden tests pin.
+// Record is the durable form of a sim.Result: the result's own JSON
+// encoding (its struct tags are the format) plus NVMHash, the content
+// hash of the final NVM image. The image itself is never kept — a
+// record's NVM is always nil — because the journal index and the store
+// tiers hold every record in memory, while the hash is what result
+// digests and golden tests pin. A counter added to sim.Result or
+// arch.Stats therefore reaches every journal, store tier and service
+// response with no edit here.
+//
+// Records are immutable once built: readers copy the embedded Result
+// and never write through a record.
 type Record struct {
-	Scheme string `json:"scheme"`
-	Halted bool   `json:"halted"`
-
-	TimeNs    int64  `json:"time_ns"`
-	RunNs     int64  `json:"run_ns"`
-	ChargeNs  int64  `json:"charge_ns"`
-	RestoreNs int64  `json:"restore_ns"`
-	Outages   uint64 `json:"outages"`
-
-	Counts cpu.Counts    `json:"counts"`
-	Ledger energy.Ledger `json:"ledger"`
-	Arch   archRecord    `json:"arch"`
-
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	DirtyEvictions uint64 `json:"dirty_evictions"`
-
-	NVMReads      uint64 `json:"nvm_reads"`
-	NVMWrites     uint64 `json:"nvm_writes"`
-	NVMLineReads  uint64 `json:"nvm_line_reads"`
-	NVMLineWrites uint64 `json:"nvm_line_writes"`
-
-	RegionSizes *stats.Hist `json:"region_sizes,omitempty"`
-
+	sim.Result
 	// NVMHash is the hex SHA-256 of the final NVM image ("" when the
 	// result carried no image).
 	NVMHash string `json:"nvm_hash,omitempty"`
 }
 
-// archRecord mirrors arch.Stats field for field with JSON tags.
-type archRecord struct {
-	TpNs            int64       `json:"tp_ns"`
-	TwaitNs         int64       `json:"twait_ns"`
-	RegionsExecuted uint64      `json:"regions"`
-	StoresPerRegion *stats.Hist `json:"stores_per_region,omitempty"`
-	BufferSearches  uint64      `json:"buffer_searches"`
-	BufferBypasses  uint64      `json:"buffer_bypasses"`
-	BufferHits      uint64      `json:"buffer_hits"`
-	WAWStallNs      int64       `json:"waw_stall_ns"`
-	FenceStallNs    int64       `json:"fence_stall_ns"`
-	ClwbStallNs     int64       `json:"clwb_stall_ns"`
-	BackupEvents    uint64      `json:"backups"`
-	RestoreEvents   uint64      `json:"restores"`
-	LinesBackedUp   uint64      `json:"lines_backed_up"`
-	ReplayedStores  uint64      `json:"replayed_stores"`
-	RedoneDrains    uint64      `json:"redone_drains"`
-}
-
-// FromResult converts a simulation result into its durable record.
+// FromResult converts a simulation result into its durable record. The
+// record shares r's histograms, so r must not be mutated afterwards.
 func FromResult(r *sim.Result) *Record {
-	rec := &Record{
-		Scheme: r.Scheme, Halted: r.Halted,
-		TimeNs: r.TimeNs, RunNs: r.RunNs, ChargeNs: r.ChargeNs,
-		RestoreNs: r.RestoreNs, Outages: r.Outages,
-		Counts: r.Counts, Ledger: r.Ledger,
-		Arch: archRecord{
-			TpNs: r.Arch.TpNs, TwaitNs: r.Arch.TwaitNs,
-			RegionsExecuted: r.Arch.RegionsExecuted,
-			StoresPerRegion: r.Arch.StoresPerRegion,
-			BufferSearches:  r.Arch.BufferSearches,
-			BufferBypasses:  r.Arch.BufferBypasses,
-			BufferHits:      r.Arch.BufferHits,
-			WAWStallNs:      r.Arch.WAWStallNs,
-			FenceStallNs:    r.Arch.FenceStallNs,
-			ClwbStallNs:     r.Arch.ClwbStallNs,
-			BackupEvents:    r.Arch.BackupEvents,
-			RestoreEvents:   r.Arch.RestoreEvents,
-			LinesBackedUp:   r.Arch.LinesBackedUp,
-			ReplayedStores:  r.Arch.ReplayedStores,
-			RedoneDrains:    r.Arch.RedoneDrains,
-		},
-		CacheHits: r.CacheHits, CacheMisses: r.CacheMisses,
-		DirtyEvictions: r.DirtyEvictions,
-		NVMReads:       r.NVMReads, NVMWrites: r.NVMWrites,
-		NVMLineReads: r.NVMLineReads, NVMLineWrites: r.NVMLineWrites,
-		RegionSizes: r.RegionSizes,
-	}
+	rec := &Record{Result: *r}
+	rec.NVM = nil
 	if r.NVM != nil {
 		h := r.NVM.ContentHash()
 		rec.NVMHash = hex.EncodeToString(h[:])
 	}
 	return rec
-}
-
-// Result reconstructs the sim.Result. The NVM field is nil — the image is
-// not journalled, only its hash — so reconstructed results serve every
-// figure and aggregate but not differential memory-image checks.
-func (rec *Record) Result() *sim.Result {
-	return &sim.Result{
-		Scheme: rec.Scheme, Halted: rec.Halted,
-		TimeNs: rec.TimeNs, RunNs: rec.RunNs, ChargeNs: rec.ChargeNs,
-		RestoreNs: rec.RestoreNs, Outages: rec.Outages,
-		Counts: rec.Counts, Ledger: rec.Ledger,
-		Arch: arch.Stats{
-			TpNs: rec.Arch.TpNs, TwaitNs: rec.Arch.TwaitNs,
-			RegionsExecuted: rec.Arch.RegionsExecuted,
-			StoresPerRegion: rec.Arch.StoresPerRegion,
-			BufferSearches:  rec.Arch.BufferSearches,
-			BufferBypasses:  rec.Arch.BufferBypasses,
-			BufferHits:      rec.Arch.BufferHits,
-			WAWStallNs:      rec.Arch.WAWStallNs,
-			FenceStallNs:    rec.Arch.FenceStallNs,
-			ClwbStallNs:     rec.Arch.ClwbStallNs,
-			BackupEvents:    rec.Arch.BackupEvents,
-			RestoreEvents:   rec.Arch.RestoreEvents,
-			LinesBackedUp:   rec.Arch.LinesBackedUp,
-			ReplayedStores:  rec.Arch.ReplayedStores,
-			RedoneDrains:    rec.Arch.RedoneDrains,
-		},
-		CacheHits: rec.CacheHits, CacheMisses: rec.CacheMisses,
-		DirtyEvictions: rec.DirtyEvictions,
-		NVMReads:       rec.NVMReads, NVMWrites: rec.NVMWrites,
-		NVMLineReads: rec.NVMLineReads, NVMLineWrites: rec.NVMLineWrites,
-		RegionSizes: rec.RegionSizes,
-	}
 }
 
 // Digest returns the hex SHA-256 of the record's canonical JSON encoding.

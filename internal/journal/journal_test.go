@@ -85,15 +85,76 @@ func TestRecordRoundTripExact(t *testing.T) {
 		t.Error("reloaded record is not byte-identical to the fresh one")
 	}
 
-	// The reconstructed result serves the figures: timing, energy, and
-	// every counter must match (only the NVM image is hash-only).
-	back := got.Result()
+	// The reloaded result serves the figures: timing, energy, and every
+	// counter must match (only the NVM image is hash-only).
+	back := got.Result
 	if back.TimeNs != res.TimeNs || back.Outages != res.Outages ||
 		back.Counts != res.Counts || back.Ledger != res.Ledger {
 		t.Error("reconstructed result diverges from the original")
 	}
 	if back.NVM != nil {
-		t.Error("reconstructed result must not claim an NVM image")
+		t.Error("reloaded result must not claim an NVM image")
+	}
+	if rec.NVM != nil || res.NVM == nil || rec.NVMHash == "" {
+		t.Error("FromResult must replace the NVM image with its hash and leave the result's image in place")
+	}
+}
+
+// TestRecordFormatGolden pins the durable format, which the struct tags
+// on sim.Result and arch.Stats define. testdata/record_v1.jsonl is one
+// journal line (sha on Sweep-EmptyBit under RF-Home: outages, region and
+// stores-per-region histograms, an NVM hash) written before Record
+// embedded sim.Result. Decoding and re-encoding it must give the same
+// bytes and the same digest, so every journal on disk, record digest and
+// lease response stays valid.
+func TestRecordFormatGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "record_v1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l struct {
+		Cell   journal.Cell    `json:"cell"`
+		Digest string          `json:"digest"`
+		Record json.RawMessage `json:"record"`
+	}
+	if err := json.Unmarshal(golden, &l); err != nil {
+		t.Fatal(err)
+	}
+	var rec journal.Record
+	if err := json.Unmarshal(l.Record, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.RegionSizes == nil || rec.Arch.StoresPerRegion == nil || rec.NVMHash == "" || rec.Outages == 0 {
+		t.Fatalf("golden record lost a field on decode: %+v", rec)
+	}
+	raw, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, l.Record) {
+		t.Fatalf("record re-encodes differently:\n golden %s\n now    %s", l.Record, raw)
+	}
+	if d := rec.Digest(); d != l.Digest {
+		t.Fatalf("digest = %s, golden %s", d, l.Digest)
+	}
+
+	// The whole line, as Append writes it, is byte-identical too.
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Fsync = false
+	if err := j.Append(l.Cell, &rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("journal line re-encodes differently:\n golden %s\n now    %s", golden, got)
 	}
 }
 

@@ -111,9 +111,9 @@ type CampaignTracker struct {
 	latN    int // total completions ever
 	latHead int
 
-	// live carries externally-injected counters (journal stats, chaos
-	// stats) on the concurrency-safe snapshot path; /metrics renders its
-	// snapshot merged with the tracker's computed gauges.
+	// live carries the journal's load-time counters (SetJournalStats) on
+	// the concurrency-safe snapshot path; /metrics renders its snapshot
+	// merged with the tracker's computed gauges.
 	live *telemetry.LiveRegistry
 	log  *slog.Logger
 }
@@ -225,16 +225,6 @@ func (t *CampaignTracker) Heartbeat(worker int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.worker(worker).heartbeat = t.now()
-}
-
-// Counter exposes the tracker's concurrency-safe registry, for
-// externally-owned counters (journal stats, chaos stats) that should
-// ride along on /metrics.
-func (t *CampaignTracker) Counter(name string) *telemetry.AtomicCounter {
-	if t == nil {
-		return nil
-	}
-	return t.live.Counter(name)
 }
 
 // SetJournalStats records the journal's load-time counters as
@@ -439,7 +429,7 @@ func (t *CampaignTracker) Progress() *Progress {
 }
 
 // Metrics renders the campaign's current state as a mergeable snapshot:
-// the concurrency-safe live registry (journal/chaos counters) plus the
+// the concurrency-safe live registry (journal counters) plus the
 // tracker's computed counts and rates. This is what /metrics serves.
 func (t *CampaignTracker) Metrics() *telemetry.Snapshot {
 	if t == nil {

@@ -141,9 +141,6 @@ func TestTrackerNilSafe(t *testing.T) {
 	tr.Fail(0, 0, errors.New("x"), true)
 	tr.Heartbeat(0)
 	tr.SetJournalStats(1, 2)
-	if c := tr.Counter("x"); c != nil {
-		t.Fatal("nil tracker Counter should be nil")
-	}
 	if p := tr.Progress(); p.Total != 0 {
 		t.Fatalf("nil Progress: %+v", p)
 	}

@@ -68,36 +68,43 @@ type Options struct {
 	Precise bool
 }
 
-// Result is everything measured during a run.
+// Result is everything measured during a run. Its JSON encoding, with
+// NVM left out, is the durable record that journals, the result store and
+// the service's responses carry (journal.Record), so the tags below are
+// the on-disk format. Adding, renaming, reordering or retagging a field
+// changes the records' encoding and digests (an omitempty field left at
+// zero aside); journal lines written before such a change then fail their
+// digest check, and their cells re-run.
 type Result struct {
-	Scheme string
-	Halted bool
+	Scheme string `json:"scheme"`
+	Halted bool   `json:"halted"`
 
-	TimeNs    int64 // wall-clock: execution + backup/restore + recharge
-	RunNs     int64 // execution time only
-	ChargeNs  int64 // powered-off recharge time
-	RestoreNs int64 // time spent inside scheme restore work (excl. recharge)
-	Outages   uint64
+	TimeNs    int64  `json:"time_ns"`    // wall-clock: execution + backup/restore + recharge
+	RunNs     int64  `json:"run_ns"`     // execution time only
+	ChargeNs  int64  `json:"charge_ns"`  // powered-off recharge time
+	RestoreNs int64  `json:"restore_ns"` // time spent inside scheme restore work (excl. recharge)
+	Outages   uint64 `json:"outages"`
 
-	Counts cpu.Counts
-	Ledger energy.Ledger
-	Arch   arch.Stats
+	Counts cpu.Counts    `json:"counts"`
+	Ledger energy.Ledger `json:"ledger"`
+	Arch   arch.Stats    `json:"arch"`
 
-	CacheHits      uint64
-	CacheMisses    uint64
-	DirtyEvictions uint64
+	CacheHits      uint64 `json:"cache_hits"`
+	CacheMisses    uint64 `json:"cache_misses"`
+	DirtyEvictions uint64 `json:"dirty_evictions"`
 
-	NVMReads      uint64
-	NVMWrites     uint64
-	NVMLineReads  uint64
-	NVMLineWrites uint64
+	NVMReads      uint64 `json:"nvm_reads"`
+	NVMWrites     uint64 `json:"nvm_writes"`
+	NVMLineReads  uint64 `json:"nvm_line_reads"`
+	NVMLineWrites uint64 `json:"nvm_line_writes"`
 
 	// RegionSizes samples dynamic instructions per region (Figure 12a);
 	// populated for sweep- and replay-compiled binaries.
-	RegionSizes *stats.Hist
+	RegionSizes *stats.Hist `json:"region_sizes,omitempty"`
 
 	// NVM is the final memory image, for differential consistency checks.
-	NVM *mem.NVM
+	// It is never encoded: a record keeps only its hash.
+	NVM *mem.NVM `json:"-"`
 }
 
 // MissRate returns the L1D miss rate of the run.
@@ -172,60 +179,62 @@ func (r *Result) String() string {
 // ad-hoc Result field becomes a named counter, gauge, or histogram, so
 // runs merge uniformly across a parallel experiment matrix.
 func (r *Result) Metrics() *telemetry.Snapshot {
-	reg := telemetry.NewRegistry()
-	reg.Counter("sim.runs").Add(1) // merged snapshots count aggregated runs
-	reg.Counter("sim.outages").Add(r.Outages)
-	reg.Counter("sim.instructions").Add(r.Counts.Executed)
-	reg.Counter("sim.loads").Add(r.Counts.Loads)
-	reg.Counter("sim.stores").Add(r.Counts.Stores)
-	reg.Counter("sim.ckpt_stores").Add(r.Counts.CkptStores)
-	reg.Counter("sim.save_pcs").Add(r.Counts.SavePCs)
-	reg.Counter("sim.region_ends").Add(r.Counts.RegionEnds)
-	reg.Counter("sim.clwbs").Add(r.Counts.Clwbs)
-	reg.Counter("sim.fences").Add(r.Counts.Fences)
-	reg.Counter("cache.hits").Add(r.CacheHits)
-	reg.Counter("cache.misses").Add(r.CacheMisses)
-	reg.Counter("cache.dirty_evictions").Add(r.DirtyEvictions)
-	reg.Counter("nvm.reads").Add(r.NVMReads)
-	reg.Counter("nvm.writes").Add(r.NVMWrites)
-	reg.Counter("nvm.line_reads").Add(r.NVMLineReads)
-	reg.Counter("nvm.line_writes").Add(r.NVMLineWrites)
-	reg.Counter("arch.regions").Add(r.Arch.RegionsExecuted)
-	reg.Counter("arch.buffer_searches").Add(r.Arch.BufferSearches)
-	reg.Counter("arch.buffer_bypasses").Add(r.Arch.BufferBypasses)
-	reg.Counter("arch.buffer_hits").Add(r.Arch.BufferHits)
-	reg.Counter("arch.backups").Add(r.Arch.BackupEvents)
-	reg.Counter("arch.restores").Add(r.Arch.RestoreEvents)
-	reg.Counter("arch.lines_backed_up").Add(r.Arch.LinesBackedUp)
-	reg.Counter("arch.replayed_stores").Add(r.Arch.ReplayedStores)
-	reg.Counter("arch.redone_drains").Add(r.Arch.RedoneDrains)
+	s := telemetry.NewSnapshot()
+	c, g := s.Counters, s.Gauges
+	c["sim.runs"] = 1 // merged snapshots count aggregated runs
+	c["sim.outages"] = r.Outages
+	c["sim.instructions"] = r.Counts.Executed
+	c["sim.loads"] = r.Counts.Loads
+	c["sim.stores"] = r.Counts.Stores
+	c["sim.ckpt_stores"] = r.Counts.CkptStores
+	c["sim.save_pcs"] = r.Counts.SavePCs
+	c["sim.region_ends"] = r.Counts.RegionEnds
+	c["sim.clwbs"] = r.Counts.Clwbs
+	c["sim.fences"] = r.Counts.Fences
+	c["cache.hits"] = r.CacheHits
+	c["cache.misses"] = r.CacheMisses
+	c["cache.dirty_evictions"] = r.DirtyEvictions
+	c["nvm.reads"] = r.NVMReads
+	c["nvm.writes"] = r.NVMWrites
+	c["nvm.line_reads"] = r.NVMLineReads
+	c["nvm.line_writes"] = r.NVMLineWrites
+	c["arch.regions"] = r.Arch.RegionsExecuted
+	c["arch.buffer_searches"] = r.Arch.BufferSearches
+	c["arch.buffer_bypasses"] = r.Arch.BufferBypasses
+	c["arch.buffer_hits"] = r.Arch.BufferHits
+	c["arch.backups"] = r.Arch.BackupEvents
+	c["arch.restores"] = r.Arch.RestoreEvents
+	c["arch.lines_backed_up"] = r.Arch.LinesBackedUp
+	c["arch.replayed_stores"] = r.Arch.ReplayedStores
+	c["arch.redone_drains"] = r.Arch.RedoneDrains
 
 	// Run-phase breakdown: where the wall clock went.
-	reg.Gauge("phase.total_ns").Set(float64(r.TimeNs))
-	reg.Gauge("phase.run_ns").Set(float64(r.RunNs))
-	reg.Gauge("phase.charge_ns").Set(float64(r.ChargeNs))
-	reg.Gauge("phase.restore_ns").Set(float64(r.RestoreNs))
-	reg.Gauge("phase.waw_stall_ns").Set(float64(r.Arch.WAWStallNs))
-	reg.Gauge("phase.fence_stall_ns").Set(float64(r.Arch.FenceStallNs))
-	reg.Gauge("phase.clwb_stall_ns").Set(float64(r.Arch.ClwbStallNs))
-	reg.Gauge("phase.tp_ns").Set(float64(r.Arch.TpNs))
-	reg.Gauge("phase.twait_ns").Set(float64(r.Arch.TwaitNs))
+	g["phase.total_ns"] = float64(r.TimeNs)
+	g["phase.run_ns"] = float64(r.RunNs)
+	g["phase.charge_ns"] = float64(r.ChargeNs)
+	g["phase.restore_ns"] = float64(r.RestoreNs)
+	g["phase.waw_stall_ns"] = float64(r.Arch.WAWStallNs)
+	g["phase.fence_stall_ns"] = float64(r.Arch.FenceStallNs)
+	g["phase.clwb_stall_ns"] = float64(r.Arch.ClwbStallNs)
+	g["phase.tp_ns"] = float64(r.Arch.TpNs)
+	g["phase.twait_ns"] = float64(r.Arch.TwaitNs)
 
-	reg.Gauge("energy.compute_j").Set(r.Ledger.Compute)
-	reg.Gauge("energy.nvm_j").Set(r.Ledger.NVM)
-	reg.Gauge("energy.persist_j").Set(r.Ledger.Persist)
-	reg.Gauge("energy.backup_j").Set(r.Ledger.Backup)
-	reg.Gauge("energy.restore_j").Set(r.Ledger.Restore)
-	reg.Gauge("energy.sleep_j").Set(r.Ledger.Sleep)
-	reg.Gauge("energy.total_j").Set(r.Ledger.Total())
+	g["energy.compute_j"] = r.Ledger.Compute
+	g["energy.nvm_j"] = r.Ledger.NVM
+	g["energy.persist_j"] = r.Ledger.Persist
+	g["energy.backup_j"] = r.Ledger.Backup
+	g["energy.restore_j"] = r.Ledger.Restore
+	g["energy.sleep_j"] = r.Ledger.Sleep
+	g["energy.total_j"] = r.Ledger.Total()
 
+	// Histograms are deep-copied: a snapshot never aliases the result.
 	if r.RegionSizes != nil {
-		reg.SetHistogram("region.sizes", r.RegionSizes)
+		s.Hists["region.sizes"] = r.RegionSizes.Clone()
 	}
 	if r.Arch.StoresPerRegion != nil {
-		reg.SetHistogram("region.stores", r.Arch.StoresPerRegion)
+		s.Hists["region.stores"] = r.Arch.StoresPerRegion.Clone()
 	}
-	return reg.Snapshot()
+	return s
 }
 
 // ErrStagnation reports a power source too weak to ever recharge the

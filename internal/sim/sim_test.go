@@ -192,3 +192,30 @@ func TestInitNVMLoadsImage(t *testing.T) {
 		t.Error("data image not loaded")
 	}
 }
+
+// TestMetricsSnapshotDoesNotAlias pins that a Metrics snapshot deep-copies
+// the result's histograms: mutating the result afterwards leaves the
+// snapshot untouched.
+func TestMetricsSnapshotDoesNotAlias(t *testing.T) {
+	l := compiled(t, "sha", arch.SweepEmptyBit)
+	res, err := Run(l, arch.New(arch.SweepEmptyBit, config.Default()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Metrics()
+	sizes, stores := snap.Hists["region.sizes"], snap.Hists["region.stores"]
+	if sizes == nil || stores == nil || sizes.N != res.RegionSizes.N || stores.N != res.Arch.StoresPerRegion.N {
+		t.Fatalf("snapshot histograms missing or wrong: sizes=%v stores=%v", sizes, stores)
+	}
+	wantSizes, wantStores := sizes.N, stores.N
+	wantBucket := sizes.Buckets[1]
+
+	res.RegionSizes.Add(1)
+	res.Arch.StoresPerRegion.Add(1)
+	if sizes.N != wantSizes || stores.N != wantStores || sizes.Buckets[1] != wantBucket {
+		t.Fatal("Metrics snapshot aliases the result's histograms")
+	}
+	if snap.Counters["arch.regions"] != res.Arch.RegionsExecuted || snap.Counters["sim.runs"] != 1 {
+		t.Fatalf("counters wrong: %v", snap.Counters)
+	}
+}

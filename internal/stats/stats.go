@@ -21,6 +21,13 @@ func NewHist(max int) *Hist {
 	return &Hist{Buckets: make([]uint64, max+1)}
 }
 
+// Clone returns a deep copy of h, sharing no storage with it.
+func (h *Hist) Clone() *Hist {
+	cp := *h
+	cp.Buckets = append([]uint64(nil), h.Buckets...)
+	return &cp
+}
+
 // Add records one sample.
 func (h *Hist) Add(v int) {
 	h.N++

@@ -21,6 +21,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -75,6 +76,9 @@ type flight struct {
 	done chan struct{}
 	rec  *journal.Record
 	err  error
+	// abandoned: err is the leader's own context error, no verdict on
+	// the cell.
+	abandoned bool
 }
 
 // Store is a tiered, deduplicating result store. Safe for concurrent use.
@@ -218,7 +222,10 @@ func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
 //
 // A follower whose ctx ends stops waiting and returns ctx.Err(); the
 // leader's compute keeps running (it serves the other waiters) under
-// the leader's own ctx.
+// the leader's own ctx. When the leader's ctx ends instead — its client
+// disconnected or its lease TTL fired — the flight fails with that
+// context error, which is no verdict on the cell: a follower whose ctx
+// is still live retries, leading a new flight or joining one.
 func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(ctx context.Context) (*journal.Record, error)) (*journal.Record, Tier, error) {
 	key := c.Key()
 	s.mu.Lock()
@@ -226,16 +233,26 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	// before it reaches memory, and the flight stays registered until
 	// both tiers hold it, so a request landing in between joins the
 	// flight instead of reading the half-published record from disk.
-	if f, ok := s.flights[key]; ok {
+	for {
+		f, ok := s.flights[key]
+		if !ok {
+			break
+		}
 		s.stats.DedupCollapses++
 		s.count("dedup_collapses")
 		s.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.rec, TierNone, f.err
 		case <-ctx.Done():
 			return nil, TierNone, ctx.Err()
 		}
+		if !f.abandoned {
+			return f.rec, TierNone, f.err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, TierNone, err
+		}
+		s.mu.Lock()
 	}
 	if rec, tier, ok := s.lookupLocked(c, key); ok {
 		s.mu.Unlock()
@@ -267,6 +284,7 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	s.stats.InFlight--
 	s.mu.Unlock()
 	f.rec, f.err = rec, err
+	f.abandoned = ctx.Err() != nil && errors.Is(err, ctx.Err())
 	close(f.done)
 	return rec, TierNone, err
 }

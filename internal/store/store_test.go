@@ -34,11 +34,11 @@ func cellN(n int) journal.Cell {
 // contract is content-addressed caching, not simulation, so the tests
 // can use cheap records with distinctive fields.
 func recN(n int) *journal.Record {
-	return &journal.Record{
+	return &journal.Record{Result: sim.Result{
 		Scheme: "Sweep-EmptyBit", Halted: true,
 		TimeNs: int64(1000 + n), RunNs: int64(900 + n),
 		Outages: uint64(n), CacheHits: uint64(n * 7),
-	}
+	}}
 }
 
 func openStore(t *testing.T, path string, memCap int) *store.Store {
@@ -354,8 +354,8 @@ func TestFollowerCancellation(t *testing.T) {
 			})
 		followerDone <- err
 	}()
-	// Let the follower reach the wait, then cancel only it.
-	time.Sleep(10 * time.Millisecond)
+	// Let the follower join the flight, then cancel only it.
+	waitCollapses(s, 1)
 	cancel()
 	select {
 	case err := <-followerDone:
@@ -372,6 +372,66 @@ func TestFollowerCancellation(t *testing.T) {
 	}
 	if _, tier, ok := s.Lookup(cellN(1)); !ok || tier != store.TierMemory {
 		t.Fatalf("leader's record missing after follower cancellation (ok=%v tier=%v)", ok, tier)
+	}
+}
+
+// TestFollowerSurvivesLeaderCancellation: when the leader's context
+// ends mid-compute (its client disconnected, its lease TTL fired), a
+// follower whose own context is live must not inherit the leader's
+// context.Canceled — that would surface as a 500 to a client that did
+// nothing wrong. It retries and leads a fresh flight instead.
+func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	inCompute := make(chan struct{})
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(leaderCtx, cellN(1),
+			func(ctx context.Context) (*journal.Record, error) {
+				close(inCompute)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			})
+		leaderDone <- err
+	}()
+	<-inCompute
+
+	type reply struct {
+		rec  *journal.Record
+		tier store.Tier
+		err  error
+	}
+	followerDone := make(chan reply, 1)
+	go func() {
+		rec, tier, err := s.GetOrCompute(context.Background(), cellN(1),
+			func(context.Context) (*journal.Record, error) { return recN(1), nil })
+		followerDone <- reply{rec, tier, err}
+	}()
+	waitCollapses(s, 1)
+	cancelLeader()
+
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	r := <-followerDone
+	if r.err != nil {
+		t.Fatalf("follower inherited the leader's cancellation: %v", r.err)
+	}
+	if r.tier != store.TierNone || r.rec.Digest() != recN(1).Digest() {
+		t.Fatalf("follower: tier=%v, want a fresh compute of the cell", r.tier)
+	}
+	if st := s.Stats(); st.Misses != 2 || st.DedupCollapses != 1 || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want 2 misses (leader, then follower), 1 collapse, none in flight", st)
+	}
+}
+
+// waitCollapses blocks until the store has counted n dedup collapses:
+// n followers have joined a flight.
+func waitCollapses(s *store.Store, n uint64) {
+	for s.Stats().DedupCollapses < n {
+		runtime.Gosched()
 	}
 }
 

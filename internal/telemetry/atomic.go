@@ -1,16 +1,14 @@
 package telemetry
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // AtomicCounter is a monotonically increasing count safe for concurrent
-// use. It is the shared-ownership counterpart of Counter: the campaign
-// tracker increments it from every runMatrix worker while an HTTP
-// handler snapshots it, with no coordination beyond the atomics.
+// use: the campaign tracker and the store increment it from request and
+// worker goroutines while an HTTP handler snapshots it, with no
+// coordination beyond the atomics.
 type AtomicCounter struct{ v atomic.Uint64 }
 
 // Add increases the counter by n.
@@ -19,32 +17,19 @@ func (c *AtomicCounter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *AtomicCounter) Value() uint64 { return c.v.Load() }
 
-// AtomicGauge is a point-in-time float64 safe for concurrent use.
-type AtomicGauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *AtomicGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *AtomicGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// LiveRegistry is a set of named metrics safe for concurrent use: any
-// goroutine may create, write, and snapshot metrics at any time. It is
-// the serving-path complement of Registry — a live /metrics endpoint
+// LiveRegistry is a set of named counters safe for concurrent use: any
+// goroutine may create, increment, and snapshot counters at any time. It
+// is the serving-path complement of Snapshot — a live /metrics endpoint
 // renders a LiveRegistry snapshot mid-campaign, while simulation results
-// keep their single-owner Registry and post-run Snapshot merge.
+// fill single-owner Snapshots that merge after each run.
 type LiveRegistry struct {
 	mu       sync.RWMutex
 	counters map[string]*AtomicCounter
-	gauges   map[string]*AtomicGauge
 }
 
 // NewLiveRegistry returns an empty live registry.
 func NewLiveRegistry() *LiveRegistry {
-	return &LiveRegistry{
-		counters: map[string]*AtomicCounter{},
-		gauges:   map[string]*AtomicGauge{},
-	}
+	return &LiveRegistry{counters: map[string]*AtomicCounter{}}
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -64,25 +49,8 @@ func (r *LiveRegistry) Counter(name string) *AtomicCounter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *LiveRegistry) Gauge(name string) *AtomicGauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &AtomicGauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Snapshot captures the registry's current values. Safe to call while
-// writers are mutating: each metric is read atomically (the snapshot is
+// writers are mutating: each counter is read atomically (the snapshot is
 // per-metric consistent, not a cross-metric transaction — the usual
 // Prometheus exposition contract).
 func (r *LiveRegistry) Snapshot() *Snapshot {
@@ -92,24 +60,5 @@ func (r *LiveRegistry) Snapshot() *Snapshot {
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
 	return s
-}
-
-// Names returns the registered metric names, sorted, for tests and
-// debug output.
-func (r *LiveRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestAtomicCounterConcurrent hammers one AtomicCounter and one
-// AtomicGauge from many goroutines while a reader snapshots them. Under
-// -race this enforces that the shared metric types — unlike Counter and
-// Gauge — really are safe for concurrent use.
+// TestAtomicCounterConcurrent hammers LiveRegistry counters from many
+// goroutines while a reader snapshots them. Under -race this enforces
+// that the shared metric types — unlike a Snapshot's maps — really are
+// safe for concurrent use.
 func TestAtomicCounterConcurrent(t *testing.T) {
 	r := NewLiveRegistry()
 	const workers, perWorker = 8, 1000
@@ -32,9 +32,8 @@ func TestAtomicCounterConcurrent(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			for j := 0; j < perWorker; j++ {
+			for range perWorker {
 				r.Counter("cells.done").Add(1)
-				r.Gauge("cells.rate").Set(float64(j))
 			}
 			r.Counter("workers.started").Add(1)
 		}()
@@ -53,29 +52,28 @@ func TestAtomicCounterConcurrent(t *testing.T) {
 	if snap.Counters["cells.done"] != workers*perWorker {
 		t.Fatalf("snapshot cells.done = %d", snap.Counters["cells.done"])
 	}
-	if want := []string{"cells.done", "cells.rate", "workers.started"}; len(r.Names()) != len(want) {
-		t.Fatalf("Names() = %v, want %v", r.Names(), want)
+	if len(snap.Counters) != 2 || len(snap.Gauges) != 0 {
+		t.Fatalf("snapshot = %+v, want exactly the two counters", snap)
 	}
 }
 
-// TestRegistrySingleOwnerHandoff pins the legal cross-goroutine flow for
-// the unsynchronized Registry: each goroutine owns a private registry,
-// writes it, and publishes the immutable snapshot over a channel. Under
-// -race this passes precisely because the hand-off is sequenced by the
-// channel; writing one registry from two goroutines would trip the race
-// detector (and is forbidden by the single-owner rule documented on
-// Counter).
-func TestRegistrySingleOwnerHandoff(t *testing.T) {
+// TestSnapshotSingleOwnerHandoff pins the legal cross-goroutine flow for
+// the unsynchronized Snapshot: each goroutine fills a private snapshot
+// and publishes it over a channel, and one goroutine merges. Under -race
+// this passes precisely because the hand-off is sequenced by the channel;
+// writing one snapshot from two goroutines would trip the race detector
+// (and is forbidden by the single-owner rule documented on Snapshot).
+func TestSnapshotSingleOwnerHandoff(t *testing.T) {
 	snaps := make(chan *Snapshot, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(n uint64) {
 			defer wg.Done()
-			reg := NewRegistry() // private to this goroutine
-			reg.Counter("sim.instrs").Add(n)
-			reg.Gauge("sim.time_ns").Add(float64(n))
-			snaps <- reg.Snapshot() // publish: ownership of the data ends here
+			s := NewSnapshot() // private to this goroutine
+			s.Counters["sim.instrs"] = n
+			s.Gauges["sim.time_ns"] = float64(n)
+			snaps <- s // publish: ownership of the data ends here
 		}(uint64(i + 1))
 	}
 	wg.Wait()

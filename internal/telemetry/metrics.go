@@ -8,122 +8,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Counter is a monotonically increasing count.
+// Snapshot is a set of named metrics from finished work — a run's
+// counters, gauges and histograms — mergeable across runs. Producers fill
+// the maps directly (sim.Result.Metrics is the main one).
 //
-// Single-owner rule: a Counter (like a Gauge and a Registry) is owned by
-// exactly one goroutine at a time — the simulation that populates it —
-// and must not be written from two goroutines, nor read while its owner
-// is still writing. Parallel runs each own a private Registry and merge
-// immutable Snapshots afterwards; that hand-off (write, then publish the
-// snapshot) is the only cross-goroutine flow. Anything shared between
+// Single-owner rule: a Snapshot is written by exactly one goroutine at a
+// time and must not be read while its owner is still writing. Parallel
+// runs each build a private Snapshot and merge it into the accumulator
+// afterwards, under the accumulator owner's lock; that hand-off (fill,
+// then publish) is the only cross-goroutine flow. Anything shared between
 // live goroutines — the campaign tracker's counters, a served /metrics
-// endpoint — must use AtomicCounter or LiveRegistry instead.
-// TestRegistrySingleOwnerHandoff and TestAtomicCounterConcurrent pin
-// both halves of this contract under the race detector.
-type Counter struct{ v uint64 }
-
-// Add increases the counter by n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a point-in-time value. Gauges merge additively across runs
-// (times and energies — the gauges this simulator records — are sums).
-// Gauge follows the same single-owner rule as Counter.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add increases the gauge by v.
-func (g *Gauge) Add(v float64) { g.v += v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Registry is a set of named metrics. It is not safe for concurrent use
-// (see the single-owner rule on Counter); parallel runs each populate
-// their own registry and merge Snapshots. For metrics shared between
-// live goroutines use LiveRegistry.
-type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*stats.Hist
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*stats.Hist{},
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket bound on first use (max is ignored for an existing histogram).
-func (r *Registry) Histogram(name string, max int) *stats.Hist {
-	h := r.hists[name]
-	if h == nil {
-		h = stats.NewHist(max)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// SetHistogram installs an existing histogram under name (the simulator
-// records region histograms in stats.Hist already; re-sampling them into
-// a fresh histogram would be waste).
-func (r *Registry) SetHistogram(name string, h *stats.Hist) { r.hists[name] = h }
-
-// Snapshot captures the registry's current values. Histograms are
-// deep-copied so a snapshot is immune to later mutation.
-func (r *Registry) Snapshot() *Snapshot {
-	s := NewSnapshot()
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
-	}
-	for name, h := range r.hists {
-		s.Hists[name] = copyHist(h)
-	}
-	return s
-}
-
-func copyHist(h *stats.Hist) *stats.Hist {
-	cp := &stats.Hist{
-		Buckets:  append([]uint64(nil), h.Buckets...),
-		Overflow: h.Overflow,
-		N:        h.N,
-		Sum:      h.Sum,
-	}
-	return cp
-}
-
-// Snapshot is a point-in-time copy of a registry, mergeable across runs.
+// endpoint — uses AtomicCounter and LiveRegistry instead.
+// TestSnapshotSingleOwnerHandoff and TestAtomicCounterConcurrent pin both
+// halves of this contract under the race detector.
+//
+// Gauges merge additively (times and energies — the gauges this simulator
+// records — are sums).
 type Snapshot struct {
 	Counters map[string]uint64
 	Gauges   map[string]float64
@@ -153,11 +53,11 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 	for name, oh := range o.Hists {
 		h := s.Hists[name]
 		if h == nil {
-			s.Hists[name] = copyHist(oh)
+			s.Hists[name] = oh.Clone()
 			continue
 		}
 		if len(h.Buckets) != len(oh.Buckets) {
-			oh = copyHist(oh)
+			oh = oh.Clone()
 			grow(h, len(oh.Buckets))
 			grow(oh, len(h.Buckets))
 		}

@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer of the simulator: a typed
-// event tracer, a metrics registry, and exporters.
+// event tracer, metrics snapshots, and exporters.
 //
 // The tracer answers "when and why" questions the aggregate counters in
 // sim.Result cannot: the exact sequence of power outages, JIT backups,
@@ -10,10 +10,11 @@
 // site holds a possibly-nil *Tracer, and Emit on a nil receiver returns
 // immediately without allocating, so the disabled path costs one branch.
 //
-// The metrics registry generalises the ad-hoc counter fields that
-// accumulated in sim.Result: named counters, gauges, and histograms with
-// a Snapshot that can be merged across the parallel runs of an
-// experiment matrix (internal/exp).
+// A Snapshot names sim.Result's counter fields: counters, gauges, and
+// histograms in plain maps, filled directly by their single owner (see
+// sim.Result.Metrics) and merged across the parallel runs of an
+// experiment matrix (internal/exp). LiveRegistry is the concurrency-safe
+// counterpart for counters written while a /metrics endpoint reads them.
 package telemetry
 
 // EventKind identifies what happened. The zero value is reserved so a

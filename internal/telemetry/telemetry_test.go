@@ -195,30 +195,23 @@ func TestChromeTraceValid(t *testing.T) {
 	}
 }
 
-func TestRegistryAndSnapshotMerge(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("runs").Add(1)
-	r.Counter("stores").Add(40)
-	r.Gauge("time_ns").Add(100)
-	h := r.Histogram("sizes", 8)
-	h.Add(3)
-	h.Add(5)
-	a := r.Snapshot()
+func TestSnapshotMerge(t *testing.T) {
+	a := NewSnapshot()
+	a.Counters["runs"] = 1
+	a.Counters["stores"] = 40
+	a.Gauges["time_ns"] = 100
+	a.Hists["sizes"] = stats.NewHist(8)
+	a.Hists["sizes"].Add(3)
+	a.Hists["sizes"].Add(5)
 
-	// Mutating the registry after Snapshot must not affect the snapshot.
-	r.Counter("runs").Add(100)
-	h.Add(7)
-	if a.Counters["runs"] != 1 || a.Hists["sizes"].N != 2 {
-		t.Fatal("snapshot aliases live registry state")
-	}
-
-	r2 := NewRegistry()
-	r2.Counter("runs").Add(1)
-	r2.Counter("misses").Add(7)
-	r2.Gauge("time_ns").Add(50)
-	h2 := r2.Histogram("sizes", 8)
-	h2.Add(5)
-	b := r2.Snapshot()
+	b := NewSnapshot()
+	b.Counters["runs"] = 1
+	b.Counters["misses"] = 7
+	b.Gauges["time_ns"] = 50
+	b.Hists["sizes"] = stats.NewHist(8)
+	b.Hists["sizes"].Add(5)
+	b.Hists["only_b"] = stats.NewHist(8)
+	b.Hists["only_b"].Add(1)
 
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("Merge: %v", err)
@@ -231,6 +224,11 @@ func TestRegistryAndSnapshotMerge(t *testing.T) {
 	}
 	if a.Hists["sizes"].N != 3 {
 		t.Fatalf("hist merge wrong: N=%d", a.Hists["sizes"].N)
+	}
+	// A histogram new to the accumulator is copied in, not aliased.
+	b.Hists["only_b"].Add(2)
+	if h := a.Hists["only_b"]; h.N != 1 || h.Buckets[2] != 0 {
+		t.Fatal("merged snapshot aliases its argument's histogram")
 	}
 }
 
