@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module over this one; vetting it also proves it
+# still compiles against the current tree.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Formatting gate: gofmt -l lists every file it would rewrite, and any
 # listed file fails the target.

@@ -81,7 +81,7 @@ func main() {
 	if *chaosSpec != "" {
 		info.ChaosSpec = *chaosSpec
 	}
-	srv := &http.Server{Handler: svc.Handler(info)}
+	srv := &http.Server{Handler: svc.Handler(info), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fail("listen failed", "addr", *listen, "err", err)

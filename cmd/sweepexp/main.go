@@ -270,13 +270,18 @@ func main() {
 	if *listen != "" {
 		tracker := obs.NewCampaignTracker(log)
 		ctx.Tracker = tracker
-		if ctx.Journal != nil {
-			st := ctx.Journal.Stats()
-			tracker.SetJournalStats(st.Loaded, st.Corrupt)
-		}
 		stopWatchdog := tracker.StartWatchdog(2*time.Second, 4)
 		defer stopWatchdog()
-		srv := &obs.Server{Info: info, Tracker: tracker, Extra: ctx.MetricsSnapshot, Log: log}
+		extra := ctx.MetricsSnapshot
+		if jn := ctx.Journal; jn != nil {
+			// The journal's load counts ride /metrics from its own Stats.
+			extra = func() *telemetry.Snapshot {
+				s := ctx.MetricsSnapshot()
+				_ = s.Merge(jn.Stats().Metrics()) // counters only: cannot fail
+				return s
+			}
+		}
+		srv := &obs.Server{Info: info, Tracker: tracker, Extra: extra, Log: log}
 		_, shutdown, err := srv.Serve(*listen)
 		if err != nil {
 			fail("introspection server", "err", err)

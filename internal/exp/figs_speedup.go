@@ -62,15 +62,13 @@ func (c *Context) speedupFigure(title string, profile *trace.Profile) (*SpeedupR
 	return r, nil
 }
 
+// colw is a scheme column's width in every figure table: the NVSRAM
+// columns are 10 wide, all others 12.
 func colw(k arch.Kind) int {
-	switch k {
-	case arch.ReplayCache:
-		return 12
-	case arch.NVSRAM:
+	if k == arch.NVSRAM || k == arch.NVSRAME {
 		return 10
-	default:
-		return 12
 	}
+	return 12
 }
 
 func (c *Context) geoRow(label string, g map[arch.Kind]float64) {
@@ -122,7 +120,7 @@ func (c *Context) Fig10() (*Fig10Result, error) {
 		for _, k := range fig10Kinds {
 			g := m.GeomeanSpeedup(k, nil)
 			r.Speedup[pr][k] = g
-			c.printf(" %*.2f", map[arch.Kind]int{arch.ReplayCache: 12, arch.NVSRAM: 10, arch.SweepEmptyBit: 12}[k], g)
+			c.printf(" %*.2f", colw(k), g)
 		}
 		c.printf("\n")
 	}

@@ -157,7 +157,7 @@ func (c *Context) Fig15() (*Fig15Result, error) {
 			}
 			mr := 100 * float64(misses) / float64(hits+misses)
 			r.MissRate[pr][k] = mr
-			c.printf(" %*.2f", map[arch.Kind]int{arch.ReplayCache: 12, arch.NVSRAM: 10, arch.NVSRAME: 10, arch.SweepEmptyBit: 12}[k], mr)
+			c.printf(" %*.2f", colw(k), mr)
 		}
 		c.printf("\n")
 	}
@@ -198,7 +198,7 @@ func (c *Context) Fig16() (*Fig16Result, error) {
 		for _, k := range fig15Kinds {
 			v := writes(k) / base
 			r.Normalized[pr][k] = v
-			c.printf(" %*.2f", map[arch.Kind]int{arch.ReplayCache: 12, arch.NVSRAM: 10, arch.NVSRAME: 10, arch.SweepEmptyBit: 12}[k], v)
+			c.printf(" %*.2f", colw(k), v)
 		}
 		c.printf("\n")
 	}

@@ -39,19 +39,12 @@ func (c *Context) Fig8() (*CacheSweepResult, error) {
 		for _, k := range sweepKinds {
 			g := m.GeomeanSpeedup(k, nil)
 			r.Speedup[sz][k] = g
-			c.printf(" %*.2f", kcolw(k), g)
+			c.printf(" %*.2f", colw(k), g)
 		}
 		c.printf("\n")
 	}
 	c.printf("\n")
 	return r, nil
-}
-
-func kcolw(k arch.Kind) int {
-	if k == arch.NVSRAM {
-		return 10
-	}
-	return 12
 }
 
 func sizeLabel(sz int) string {

@@ -65,8 +65,8 @@ func TestRunMatrixTracker(t *testing.T) {
 }
 
 // TestRunMatrixTrackerJournalSkips: cells proven by the journal surface
-// as skipped, not done, and the journal counters ride the tracker's
-// /metrics registry.
+// as skipped, not done, and the reopened journal's own Stats count
+// what it loaded.
 func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
 	j1, err := journal.Open(path)
@@ -91,8 +91,6 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	c2, kinds := trackedCtx()
 	c2.Journal = j2
 	c2.Metrics = telemetry.NewSnapshot()
-	st := j2.Stats()
-	c2.Tracker.SetJournalStats(st.Loaded, st.Corrupt)
 	if _, err := c2.runMatrix(kinds, nil, c2.Params, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +98,10 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	if p.Total != 4 || p.Skipped != 4 || p.Done != 0 || p.Failed != 0 {
 		t.Fatalf("resume counts: %+v", p)
 	}
-	snap := c2.Tracker.Metrics()
-	if snap.Counters["journal_cells_loaded"] != 4 {
-		t.Fatalf("journal_cells_loaded = %d, want 4", snap.Counters["journal_cells_loaded"])
+	if st := j2.Stats(); st.Loaded != 4 {
+		t.Fatalf("journal loaded %d cells, want 4", st.Loaded)
 	}
+	snap := c2.Tracker.Metrics()
 	if snap.Counters["campaign_cells_skipped"] != 4 {
 		t.Fatalf("campaign_cells_skipped = %d", snap.Counters["campaign_cells_skipped"])
 	}

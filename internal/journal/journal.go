@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // FormatVersion is the journal line format revision; lines with any other
@@ -133,6 +134,16 @@ type Stats struct {
 	// means an unknown number of valid cells were dropped and will re-run;
 	// it is surfaced distinctly so operators can see the difference.
 	TailError string
+}
+
+// Metrics renders the load-time counts as journal_cells_loaded and
+// journal_lines_corrupt: the one rendering every live /metrics endpoint
+// over a journal uses.
+func (st Stats) Metrics() *telemetry.Snapshot {
+	s := telemetry.NewSnapshot()
+	s.Counters["journal_cells_loaded"] = uint64(st.Loaded)
+	s.Counters["journal_lines_corrupt"] = uint64(st.Corrupt)
+	return s
 }
 
 // Journal is an open cell journal: an in-memory index over an append-only

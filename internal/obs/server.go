@@ -161,6 +161,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 // responses to complete before tearing connections down hard.
 const ShutdownGrace = 2 * time.Second
 
+// ReadHeaderTimeout bounds how long a connection may take to send its
+// request headers, so an idle or trickling client cannot pin a
+// goroutine and a file descriptor. Serve and cmd/sweepd both set it.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Serve binds addr (e.g. ":8090") and serves the introspection
 // endpoints in the background until the returned shutdown function is
 // called. The bind itself is synchronous so a bad -listen value fails
@@ -179,7 +184,7 @@ func (s *Server) Serve(addr string) (bound string, shutdown func(), err error) {
 	if log == nil {
 		log = slog.Default()
 	}
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Error("introspection server failed", "addr", addr, "err", err)

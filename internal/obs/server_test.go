@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -27,7 +28,6 @@ func midCampaign(clk *fakeClock) *CampaignTracker {
 		{Workload: "crc", Scheme: "NVP", Profile: "rfhome"},
 		{Workload: "dijkstra", Scheme: "Sweep-EmptyBit", Profile: "rfhome"},
 	})
-	tr.SetJournalStats(1, 0)
 	tr.Skip(3)
 	tr.Start(0, 0)
 	clk.advance(20 * time.Millisecond)
@@ -167,8 +167,7 @@ func TestServerProgressMidCampaign(t *testing.T) {
 }
 
 // TestServerMetricsMidCampaign checks /metrics renders the campaign
-// gauges, the journal counters, and the Extra simulation snapshot in
-// Prometheus text form.
+// gauges and the Extra simulation snapshot in Prometheus text form.
 func TestServerMetricsMidCampaign(t *testing.T) {
 	extra := func() *telemetry.Snapshot {
 		s := telemetry.NewSnapshot()
@@ -192,8 +191,6 @@ func TestServerMetricsMidCampaign(t *testing.T) {
 		"campaign_worker_panics 1",
 		"# TYPE campaign_cells_total gauge\ncampaign_cells_total 4",
 		"campaign_cells_running 1",
-		"journal_cells_loaded 1",
-		"journal_lines_corrupt 0",
 		// Extra snapshot, names sanitized to the Prometheus grammar.
 		"# TYPE cache_hits counter\ncache_hits 12345",
 		"energy_compute_uj 3.5",
@@ -273,9 +270,19 @@ func TestServeGracefulShutdown(t *testing.T) {
 		shutdown()
 		close(done)
 	}()
-	// Give Shutdown a moment to start draining, then let the handler
-	// finish its response.
-	time.Sleep(20 * time.Millisecond)
+	// http.Server.Shutdown closes its listeners before it waits for
+	// in-flight responses, so a refused dial proves shutdown has begun;
+	// only then may the handler finish its response.
+	for deadline := time.Now().Add(2 * ShutdownGrace); ; {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("shutdown never closed the listener")
+		}
+	}
 	close(release)
 
 	sc := <-got

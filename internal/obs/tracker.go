@@ -111,11 +111,7 @@ type CampaignTracker struct {
 	latN    int // total completions ever
 	latHead int
 
-	// live carries the journal's load-time counters (SetJournalStats) on
-	// the concurrency-safe snapshot path; /metrics renders its snapshot
-	// merged with the tracker's computed gauges.
-	live *telemetry.LiveRegistry
-	log  *slog.Logger
+	log *slog.Logger
 }
 
 // NewCampaignTracker returns a tracker logging watchdog findings to log
@@ -127,7 +123,6 @@ func NewCampaignTracker(log *slog.Logger) *CampaignTracker {
 	t := &CampaignTracker{
 		now:     time.Now,
 		workers: map[int]*workerRec{},
-		live:    telemetry.NewLiveRegistry(),
 		log:     log,
 	}
 	t.birth = t.now()
@@ -225,16 +220,6 @@ func (t *CampaignTracker) Heartbeat(worker int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.worker(worker).heartbeat = t.now()
-}
-
-// SetJournalStats records the journal's load-time counters as
-// journal_cells_loaded / journal_lines_corrupt metrics.
-func (t *CampaignTracker) SetJournalStats(loaded, corrupt int) {
-	if t == nil {
-		return
-	}
-	t.live.Counter("journal_cells_loaded").Add(uint64(loaded))
-	t.live.Counter("journal_lines_corrupt").Add(uint64(corrupt))
 }
 
 // transition moves cell idx to state, keeping the per-state counts.
@@ -429,13 +414,13 @@ func (t *CampaignTracker) Progress() *Progress {
 }
 
 // Metrics renders the campaign's current state as a mergeable snapshot:
-// the concurrency-safe live registry (journal counters) plus the
-// tracker's computed counts and rates. This is what /metrics serves.
+// the tracker's computed counts and rates. /metrics serves it merged
+// with the server's Extra source.
 func (t *CampaignTracker) Metrics() *telemetry.Snapshot {
+	s := telemetry.NewSnapshot()
 	if t == nil {
-		return telemetry.NewSnapshot()
+		return s
 	}
-	s := t.live.Snapshot()
 	p := t.Progress()
 	s.Counters["campaign_cells_done"] = uint64(p.Done)
 	s.Counters["campaign_cells_failed"] = uint64(p.Failed)

@@ -140,7 +140,6 @@ func TestTrackerNilSafe(t *testing.T) {
 	tr.Done(0, 0)
 	tr.Fail(0, 0, errors.New("x"), true)
 	tr.Heartbeat(0)
-	tr.SetJournalStats(1, 2)
 	if p := tr.Progress(); p.Total != 0 {
 		t.Fatalf("nil Progress: %+v", p)
 	}

@@ -61,7 +61,7 @@ func (s *Service) Lease(ctx context.Context, lr LeaseRequest) (*LeaseResponse, e
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
-	s.reg.Counter("service.leases").Add(1)
+	s.leases.Add(1)
 	lctx := ctx
 	if lr.TTLMs > 0 {
 		var cancel context.CancelFunc
@@ -107,7 +107,7 @@ func (s *Service) noteCellFailure(key string, err error) {
 			s.quarantined = map[string]string{}
 		}
 		s.quarantined[key] = err.Error()
-		s.reg.Counter("service.cells_quarantined").Add(1)
+		s.cellsQuarantined.Add(1)
 		s.log.Warn("cell quarantined: repeated deterministic failures — /healthz degraded",
 			"key", key, "streak", s.failStreaks[key], "err", err)
 	}

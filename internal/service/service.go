@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,6 @@ type Config struct {
 // Service serves memoized simulation results. Safe for concurrent use.
 type Service struct {
 	store       *store.Store
-	reg         *telemetry.LiveRegistry
 	log         *slog.Logger
 	tracker     *obs.CampaignTracker
 	chaos       *chaos.Injector
@@ -127,6 +127,11 @@ type Service struct {
 
 	// draining refuses new leases once shutdown has begun (StartDrain).
 	draining atomic.Bool
+
+	// The service's counters, read by Stats and MetricsSnapshot while
+	// requests run: every Cell call, the bad ones among them, failed
+	// ones, leases served, and cells that crossed QuarantineThreshold.
+	requests, badRequests, failures, leases, cellsQuarantined atomic.Uint64
 
 	// Quarantine tracking: consecutive compute-failure streaks per cell
 	// key, and the keys that crossed QuarantineThreshold with their last
@@ -154,11 +159,8 @@ func New(cfg Config) (*Service, error) {
 	if log == nil {
 		log = slog.Default()
 	}
-	reg := telemetry.NewLiveRegistry()
-	st.SetRegistry(reg)
 	s := &Service{
 		store:       st,
-		reg:         reg,
 		log:         log,
 		tracker:     cfg.Tracker,
 		chaos:       cfg.Chaos,
@@ -168,12 +170,7 @@ func New(cfg Config) (*Service, error) {
 		failStreaks: map[string]int{},
 		quarantined: map[string]string{},
 	}
-	if cfg.Tracker != nil {
-		cfg.Tracker.BeginPhase("serve")
-		if st := s.store.Stats(); st.Disk.Loaded > 0 || st.Disk.Corrupt > 0 {
-			cfg.Tracker.SetJournalStats(st.Disk.Loaded, st.Disk.Corrupt)
-		}
-	}
+	cfg.Tracker.BeginPhase("serve")
 	return s, nil
 }
 
@@ -250,10 +247,10 @@ func (s *Service) parse(req CellRequest) (*cellSpec, error) {
 // Cell serves one cell: fastest tier first, simulate on miss, dedup
 // identical in-flight requests.
 func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, error) {
-	s.reg.Counter("service.requests").Add(1)
+	s.requests.Add(1)
 	spec, err := s.parse(req)
 	if err != nil {
-		s.reg.Counter("service.bad_requests").Add(1)
+		s.badRequests.Add(1)
 		return nil, err
 	}
 	id := spec.ec.CellID(spec.workload, spec.kind, spec.profile, spec.ec.Seed, spec.ec.Params.Fingerprint())
@@ -262,7 +259,7 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 		return s.simulate(ctx, spec, id)
 	})
 	if err != nil {
-		s.reg.Counter("service.failures").Add(1)
+		s.failures.Add(1)
 		return nil, err
 	}
 	return &CellResponse{
@@ -361,8 +358,10 @@ func (s *Service) Cells(ctx context.Context, reqs []CellRequest) []BatchItem {
 // Stats is the /v1/stats document.
 type Stats struct {
 	Store store.Stats `json:"store"`
-	// Counters are the live service counters (requests, failures, store
-	// tier hits as they accumulate).
+	// Counters are the service's own counters (service.requests,
+	// service.bad_requests, service.failures, service.leases,
+	// service.cells_quarantined), zeros included; the store's are typed
+	// under Store.
 	Counters map[string]uint64 `json:"counters"`
 	// Health mirrors the /healthz verdict so one stats scrape carries it.
 	Health obs.Health `json:"health"`
@@ -373,23 +372,40 @@ type Stats struct {
 
 // Stats snapshots the service.
 func (s *Service) Stats() Stats {
-	snap := s.reg.Snapshot()
 	return Stats{
 		Store:       s.store.Stats(),
-		Counters:    snap.Counters,
+		Counters:    s.counters(),
 		Health:      s.Health(),
 		Quarantined: s.QuarantinedCells(),
 	}
 }
 
-// MetricsSnapshot merges the live counters with point-in-time store
-// gauges — the Extra hook for the obs /metrics endpoint.
+// counters reads the service's counters under their metric names.
+func (s *Service) counters() map[string]uint64 {
+	return map[string]uint64{
+		"service.requests":          s.requests.Load(),
+		"service.bad_requests":      s.badRequests.Load(),
+		"service.failures":          s.failures.Load(),
+		"service.leases":            s.leases.Load(),
+		"service.cells_quarantined": s.cellsQuarantined.Load(),
+	}
+}
+
+// MetricsSnapshot renders the service's, store's and journal's own stats
+// for one scrape — the Extra hook for the obs /metrics endpoint. Every
+// counter is present from the first scrape, zeros included.
 func (s *Service) MetricsSnapshot() *telemetry.Snapshot {
-	snap := s.reg.Snapshot()
 	st := s.store.Stats()
-	snap.Gauges["store.in_flight"] = float64(st.InFlight)
-	snap.Gauges["store.mem_entries"] = float64(st.MemEntries)
-	snap.Counters["store.disk_loaded"] = uint64(st.Disk.Loaded)
-	snap.Gauges["service.quarantined_cells"] = float64(s.QuarantinedCells())
+	snap := st.Disk.Metrics()
+	c, g := snap.Counters, snap.Gauges
+	maps.Copy(c, s.counters())
+	c["store.mem_hits"] = st.MemHits
+	c["store.disk_hits"] = st.DiskHits
+	c["store.misses"] = st.Misses
+	c["store.dedup_collapses"] = st.DedupCollapses
+	c["store.errors"] = st.Errors
+	g["store.in_flight"] = float64(st.InFlight)
+	g["store.mem_entries"] = float64(st.MemEntries)
+	g["service.quarantined_cells"] = float64(s.QuarantinedCells())
 	return snap
 }

@@ -3,8 +3,10 @@ package service_test
 import (
 	"context"
 	"io"
+	"maps"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -252,5 +255,108 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// scrapeMetrics reads /metrics into each sample's value by name and the
+// number of times each name appears.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) (vals map[string]string, seen map[string]int) {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, seen = map[string]string{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, v, _ := strings.Cut(line, " ")
+		vals[name] = v
+		seen[name]++
+	}
+	return vals, seen
+}
+
+// TestMetricsOneHomePerCounter pins where each served counter lives. The
+// store's and the service's counters are rendered from their owners'
+// stats on every scrape, zeros included, so /metrics, /v1/stats and
+// store.Stats() agree; the journal's load count appears once, under one
+// name.
+func TestMetricsOneHomePerCounter(t *testing.T) {
+	storeNames := []string{"store_mem_hits", "store_disk_hits", "store_misses", "store_dedup_collapses", "store_errors"}
+	storeCounts := func(st store.Stats) []uint64 {
+		return []uint64{st.MemHits, st.DiskHits, st.Misses, st.DedupCollapses, st.Errors}
+	}
+	serviceNames := []string{"service_requests", "service_bad_requests", "service_failures", "service_leases", "service_cells_quarantined"}
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	svc, ts, cl := startService(t, path)
+
+	// A fresh daemon shows every counter at 0 from the first scrape.
+	vals, _ := scrapeMetrics(t, ts)
+	for _, name := range append(append(storeNames, serviceNames...), "journal_cells_loaded", "journal_lines_corrupt") {
+		if vals[name] != "0" {
+			t.Errorf("fresh /metrics: %s = %q, want 0", name, vals[name])
+		}
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := map[string]uint64{"service.requests": 0, "service.bad_requests": 0, "service.failures": 0,
+		"service.leases": 0, "service.cells_quarantined": 0}
+	if !maps.Equal(st.Counters, zeros) {
+		t.Errorf("fresh /v1/stats counters = %v, want the five service counters at 0", st.Counters)
+	}
+
+	// Two misses, a memory hit and a bad request.
+	cells := []service.CellRequest{{Workload: "sha", Scheme: "NVP"}, {Workload: "sha", Scheme: "Sweep-EmptyBit"}}
+	for _, req := range append(cells, cells[0]) {
+		if _, err := cl.Cell(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Cell(ctx, service.CellRequest{Workload: "nope", Scheme: "NVP"}); err == nil {
+		t.Fatal("unknown workload served")
+	}
+	vals, _ = scrapeMetrics(t, ts)
+	if st, err = cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	own := svc.Store().Stats()
+	if own.Misses != 2 || own.MemHits != 1 {
+		t.Fatalf("store stats %+v, want 2 misses and 1 memory hit", own)
+	}
+	for i, name := range storeNames {
+		want := storeCounts(own)[i]
+		if vals[name] != strconv.FormatUint(want, 10) || storeCounts(st.Store)[i] != want {
+			t.Errorf("%s: /metrics %s, /v1/stats %d, store.Stats() %d", name, vals[name], storeCounts(st.Store)[i], want)
+		}
+	}
+	if vals["service_requests"] != "4" || vals["service_bad_requests"] != "1" ||
+		st.Counters["service.requests"] != 4 || st.Counters["service.bad_requests"] != 1 || len(st.Counters) != 5 {
+		t.Errorf("service counters: /metrics requests %s bad %s, /v1/stats %v",
+			vals["service_requests"], vals["service_bad_requests"], st.Counters)
+	}
+
+	// A restart over the journal shows its load count once, and under
+	// one name.
+	svc.Close()
+	_, ts2, _ := startService(t, path)
+	vals, seen := scrapeMetrics(t, ts2)
+	if vals["journal_cells_loaded"] != "2" || seen["journal_cells_loaded"] != 1 ||
+		vals["journal_lines_corrupt"] != "0" || seen["journal_lines_corrupt"] != 1 {
+		t.Errorf("restart: journal_cells_loaded %q ×%d, journal_lines_corrupt %q ×%d; want 2 ×1, 0 ×1",
+			vals["journal_cells_loaded"], seen["journal_cells_loaded"],
+			vals["journal_lines_corrupt"], seen["journal_lines_corrupt"])
+	}
+	if seen["store_disk_loaded"] != 0 {
+		t.Errorf("restart: store_disk_loaded still rendered")
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"repro/internal/journal"
-	"repro/internal/telemetry"
 )
 
 // Tier names where a record came from.
@@ -50,7 +49,8 @@ func (t Tier) String() string {
 	return "simulated"
 }
 
-// Stats is a snapshot of the store's counters.
+// Stats is a snapshot of the store's counters, which the store keeps
+// under its mutex and nowhere else.
 type Stats struct {
 	MemHits        uint64 `json:"mem_hits"`
 	DiskHits       uint64 `json:"disk_hits"`
@@ -90,7 +90,6 @@ type Store struct {
 	disk    *journal.Journal // nil = memory-only
 	flights map[string]*flight
 	stats   Stats
-	reg     *telemetry.LiveRegistry // optional live counters, may be nil
 }
 
 // New builds a store over an already-open journal (nil for memory-only).
@@ -120,24 +119,6 @@ func Open(path string, memCap int) (*Store, error) {
 		disk = j
 	}
 	return New(disk, memCap), nil
-}
-
-// SetRegistry attaches a live telemetry registry: the store mirrors its
-// counters (store.mem_hits, store.disk_hits, store.misses,
-// store.dedup_collapses, store.errors) into it as they happen, so a
-// /metrics scrape sees them without locking the store.
-func (s *Store) SetRegistry(reg *telemetry.LiveRegistry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg = reg
-}
-
-// count bumps a live counter if a registry is attached. Called with s.mu
-// held; LiveRegistry counters are atomic, so this never blocks.
-func (s *Store) count(name string) {
-	if s.reg != nil {
-		s.reg.Counter("store." + name).Add(1)
-	}
 }
 
 // touchLocked moves key to the most-recently-used end of the LRU order,
@@ -170,7 +151,6 @@ func (s *Store) insertLocked(key string, rec *journal.Record) {
 func (s *Store) lookupLocked(c journal.Cell, key string) (*journal.Record, Tier, bool) {
 	if rec, ok := s.mem[key]; ok {
 		s.stats.MemHits++
-		s.count("mem_hits")
 		s.touchLocked(key)
 		return rec, TierMemory, true
 	}
@@ -178,7 +158,6 @@ func (s *Store) lookupLocked(c journal.Cell, key string) (*journal.Record, Tier,
 		// Lock order is always store.mu -> journal.mu, never the reverse.
 		if rec, ok := s.disk.Lookup(c); ok {
 			s.stats.DiskHits++
-			s.count("disk_hits")
 			s.insertLocked(key, rec)
 			return rec, TierDisk, true
 		}
@@ -239,7 +218,6 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 			break
 		}
 		s.stats.DedupCollapses++
-		s.count("dedup_collapses")
 		s.mu.Unlock()
 		select {
 		case <-f.done:
@@ -262,7 +240,6 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	s.flights[key] = f
 	s.stats.Misses++
 	s.stats.InFlight++
-	s.count("misses")
 	s.mu.Unlock()
 
 	rec, err := compute(ctx)
@@ -278,7 +255,6 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	s.mu.Lock()
 	if err != nil {
 		s.stats.Errors++
-		s.count("errors")
 	}
 	delete(s.flights, key)
 	s.stats.InFlight--

@@ -17,7 +17,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 // cellN builds a distinct cell identity per n; the key space the torture
@@ -101,7 +100,9 @@ func TestTiers(t *testing.T) {
 
 // TestSingleflightExactlyOnce: many concurrent requests per key, one
 // simulation per key — the dedup invariant the service's cost model
-// rests on.
+// rests on. Every compute holds its flight open until all followers of
+// every key have joined, so each non-leader must collapse onto a flight:
+// the counts are exact, with no hits.
 func TestSingleflightExactlyOnce(t *testing.T) {
 	const keys, callers = 8, 12
 	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
@@ -120,7 +121,7 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 				rec, _, err := s.GetOrCompute(context.Background(), cellN(k),
 					func(context.Context) (*journal.Record, error) {
 						computes[k].Add(1)
-						time.Sleep(5 * time.Millisecond) // widen the dedup window
+						waitCollapses(s, keys*(callers-1))
 						return recN(k), nil
 					})
 				if err != nil {
@@ -145,13 +146,9 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Misses != keys {
-		t.Errorf("misses = %d, want %d", st.Misses, keys)
-	}
-	// Every call is accounted to exactly one bucket.
-	if got := st.MemHits + st.DiskHits + st.Misses + st.DedupCollapses; got != keys*callers {
-		t.Errorf("accounting: mem %d + disk %d + miss %d + dedup %d = %d, want %d",
-			st.MemHits, st.DiskHits, st.Misses, st.DedupCollapses, got, keys*callers)
+	if st.Misses != keys || st.DedupCollapses != keys*(callers-1) || st.MemHits != 0 || st.DiskHits != 0 {
+		t.Errorf("stats: %d misses, %d collapses, %d mem + %d disk hits; want %d, %d, 0 + 0",
+			st.Misses, st.DedupCollapses, st.MemHits, st.DiskHits, keys, keys*(callers-1))
 	}
 	if st.InFlight != 0 {
 		t.Errorf("in-flight %d after quiescence", st.InFlight)
@@ -167,9 +164,6 @@ func TestTortureOverlappingKeys(t *testing.T) {
 	const keys, workers, opsPerWorker = 16, 8, 200
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
 	s := openStore(t, path, 4) // far below the key count: constant eviction
-
-	reg := telemetry.NewLiveRegistry()
-	s.SetRegistry(reg)
 
 	var computes [keys]atomic.Int64
 	var wg sync.WaitGroup
@@ -212,10 +206,6 @@ func TestTortureOverlappingKeys(t *testing.T) {
 	}
 	if st.Errors != 0 {
 		t.Errorf("%d compute errors during torture", st.Errors)
-	}
-	// Live counters mirror the snapshot counters.
-	if got := reg.Counter("store.misses").Value(); got != st.Misses {
-		t.Errorf("live misses %d != stats misses %d", got, st.Misses)
 	}
 	s.Close()
 

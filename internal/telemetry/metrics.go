@@ -16,11 +16,12 @@ import (
 // time and must not be read while its owner is still writing. Parallel
 // runs each build a private Snapshot and merge it into the accumulator
 // afterwards, under the accumulator owner's lock; that hand-off (fill,
-// then publish) is the only cross-goroutine flow. Anything shared between
-// live goroutines — the campaign tracker's counters, a served /metrics
-// endpoint — uses AtomicCounter and LiveRegistry instead.
-// TestSnapshotSingleOwnerHandoff and TestAtomicCounterConcurrent pin both
-// halves of this contract under the race detector.
+// then publish) is the only cross-goroutine flow, and
+// TestSnapshotSingleOwnerHandoff pins it under the race detector. A count
+// shared between live goroutines is not a Snapshot: it stays in its
+// owning component (an atomic field, or stats read under that
+// component's mutex), and a /metrics scrape renders it into a fresh
+// Snapshot that the scrape alone owns.
 //
 // Gauges merge additively (times and energies — the gauges this simulator
 // records — are sums).

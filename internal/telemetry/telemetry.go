@@ -13,8 +13,9 @@
 // A Snapshot names sim.Result's counter fields: counters, gauges, and
 // histograms in plain maps, filled directly by their single owner (see
 // sim.Result.Metrics) and merged across the parallel runs of an
-// experiment matrix (internal/exp). LiveRegistry is the concurrency-safe
-// counterpart for counters written while a /metrics endpoint reads them.
+// experiment matrix (internal/exp). Live counters are not kept here: each
+// stays in the typed stats of the component that makes it, and a
+// /metrics endpoint renders those stats into a fresh Snapshot per scrape.
 package telemetry
 
 // EventKind identifies what happened. The zero value is reserved so a

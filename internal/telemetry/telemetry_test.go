@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -260,6 +261,38 @@ func TestSnapshotMergeMismatchedHists(t *testing.T) {
 	// b must be untouched by the merge.
 	if len(b.Hists["h"].Buckets) != len(stats.NewHist(16).Buckets) || b.Hists["h"].N != 1 {
 		t.Fatal("Merge mutated its argument")
+	}
+}
+
+// TestSnapshotSingleOwnerHandoff pins the legal cross-goroutine flow for
+// the unsynchronized Snapshot: each goroutine fills a private snapshot
+// and publishes it over a channel, and one goroutine merges. Under -race
+// this passes precisely because the hand-off is sequenced by the channel;
+// writing one snapshot from two goroutines would trip the race detector
+// (and is forbidden by the single-owner rule documented on Snapshot).
+func TestSnapshotSingleOwnerHandoff(t *testing.T) {
+	snaps := make(chan *Snapshot, 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(n uint64) {
+			defer wg.Done()
+			s := NewSnapshot() // private to this goroutine
+			s.Counters["sim.instrs"] = n
+			s.Gauges["sim.time_ns"] = float64(n)
+			snaps <- s // publish: ownership of the data ends here
+		}(uint64(i + 1))
+	}
+	wg.Wait()
+	close(snaps)
+	total := NewSnapshot()
+	for s := range snaps {
+		if err := total.Merge(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := total.Counters["sim.instrs"]; got != 1+2+3+4 {
+		t.Fatalf("merged sim.instrs = %d, want 10", got)
 	}
 }
 
