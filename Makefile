@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check test vet bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
+.PHONY: all build fmt-check test vet golden bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
 
 all: check
 
@@ -20,6 +20,12 @@ vet:
 # listed file fails the target.
 fmt-check:
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# The whole paper evaluation against its committed output: sweepexp -exp
+# all must print docs/full_results.txt, trailing blank lines aside (the
+# command substitution strips them).
+golden:
+	out="$$($(GO) run ./cmd/sweepexp -exp all)" && printf '%s\n' "$$out" | diff docs/full_results.txt -
 
 # The full evaluation-in-miniature: one benchmark per paper table/figure.
 bench:
@@ -77,7 +83,7 @@ dist-smoke:
 	$(GO) test -race -count=1 ./internal/dist/
 	./scripts/dist_smoke.sh
 
-check: build fmt-check vet test
+check: build fmt-check vet test golden
 
 clean:
 	$(GO) clean ./...

@@ -154,7 +154,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "power-trace seed")
 	seeds := flag.Int("seeds", 1, "seed count for -exp seedsweep: timelines seed..seed+seeds-1 per cell")
 	only := flag.String("only", "", "comma-separated workload names to restrict the sweep to")
-	metricsFile := flag.String("metrics", "", "write metrics aggregated across every simulated run to this file ('-' = stdout)")
+	metricsFile := flag.String("metrics", "", "write metrics aggregated across every simulated run, plus the result store's counters, to this file ('-' = stdout)")
 	traceDir := flag.String("tracedir", "", "record one JSONL telemetry stream per simulated run into this directory")
 	pprofPrefix := flag.String("pprof", "", "write <prefix>.cpu.pb.gz and <prefix>.mem.pb.gz profiles")
 	paramsFile := flag.String("params", "", "JSON file of config.Params overrides (validated before any run)")
@@ -272,16 +272,9 @@ func main() {
 		ctx.Tracker = tracker
 		stopWatchdog := tracker.StartWatchdog(2*time.Second, 4)
 		defer stopWatchdog()
-		extra := ctx.MetricsSnapshot
-		if jn := ctx.Journal; jn != nil {
-			// The journal's load counts ride /metrics from its own Stats.
-			extra = func() *telemetry.Snapshot {
-				s := ctx.MetricsSnapshot()
-				_ = s.Merge(jn.Stats().Metrics()) // counters only: cannot fail
-				return s
-			}
-		}
-		srv := &obs.Server{Info: info, Tracker: tracker, Extra: extra, Log: log}
+		// The context's snapshot carries its store's counters, the
+		// journal's load counts among them.
+		srv := &obs.Server{Info: info, Tracker: tracker, Extra: ctx.MetricsSnapshot, Log: log}
 		_, shutdown, err := srv.Serve(*listen)
 		if err != nil {
 			fail("introspection server", "err", err)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -63,10 +65,11 @@ type Context struct {
 	// time; an overrunning cell fails with context.DeadlineExceeded while
 	// the rest of the matrix completes.
 	CellTimeout time.Duration
-	// Journal, when non-nil, makes the run crash-safe: every completed
-	// cell is appended durably, and cells already proven under the
-	// identical configuration (and engine version) are skipped. See
-	// internal/journal.
+	// Journal, when non-nil, makes the run crash-safe: it is the disk
+	// tier of the context's store, so every simulated cell is appended
+	// durably and cells proven under the identical configuration (and
+	// engine version) are served from it. It is read once, at the
+	// context's first matrix. See internal/journal and internal/store.
 	Journal *journal.Journal
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
 	// mid-run cancellation) for resilience testing. See internal/chaos.
@@ -79,8 +82,9 @@ type Context struct {
 	// internal/obs and docs/OBSERVABILITY.md.
 	Tracker *obs.CampaignTracker
 	// Metrics, when non-nil, accumulates every simulated run's metrics
-	// snapshot across the (parallel) experiment matrices. Journal-skipped
-	// cells were not simulated and contribute nothing.
+	// snapshot across the (parallel) experiment matrices. A cell the
+	// store served from memory or the journal was not simulated and
+	// contributes nothing; the store's own counters say how many were.
 	Metrics *telemetry.Snapshot
 	// TraceDir, when set, records one JSONL telemetry stream per
 	// simulated run into that directory.
@@ -88,6 +92,17 @@ type Context struct {
 
 	metricsMu sync.Mutex
 	traceSeq  atomic.Uint64
+
+	// cells serves every matrix cell from a never-evicting memory tier
+	// over Journal (the caller's to close), built at the first matrix.
+	cellsOnce sync.Once
+	cells     atomic.Pointer[store.Store]
+}
+
+// store returns the context's result store, building it on first use.
+func (c *Context) store() *store.Store {
+	c.cellsOnce.Do(func() { c.cells.Store(store.New(c.Journal, math.MaxInt)) })
+	return c.cells.Load()
 }
 
 // ctx returns the run's context, defaulting to Background.
@@ -275,9 +290,10 @@ type matrixJob struct {
 //   - A cancelled context stops dispatch, aborts in-flight cells at their
 //     next epoch boundary, and joins the workers before returning — no
 //     orphaned goroutines, ever.
-//   - With a journal attached, completed cells are durable and re-runs
-//     skip them, so any interruption (cancel, panic, kill -9) resumes to
-//     a byte-identical result.
+//   - Every cell goes through the context's store, so a run simulates
+//     each distinct cell once. With a journal attached, completed cells
+//     are durable and re-runs serve them from disk, so any interruption
+//     (cancel, panic, kill -9) resumes to a byte-identical result.
 func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params, seeds int) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
@@ -309,10 +325,10 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 		defer cancel()
 	}
 
-	// Live tracking: register the matrix's cells before the journal pass
-	// so /progress sees skips as skips, not as missing cells. Guarded —
-	// building the meta slice is the one tracker interaction that
-	// allocates, and the nil path must stay allocation-free.
+	// Live tracking: register the matrix's cells before dispatch so
+	// /progress sees every cell from the start. Guarded — building the
+	// meta slice is the one tracker interaction that allocates, and the
+	// nil path must stay allocation-free.
 	var trkBase int
 	if c.Tracker != nil {
 		metas := make([]obs.CellMeta, len(jobs))
@@ -322,36 +338,15 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 		trkBase = c.Tracker.AddCells(metas)
 	}
 
-	// Journal consultation: cells already proven under this exact
-	// configuration are reconstructed, not re-simulated. The record is
-	// immutable and shared with the journal's index, so the result is a
-	// copy of it (with no NVM image, which is never journalled).
-	results := make([]*sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var pending []int
-	journalHits := 0
-	for idx, j := range jobs {
-		if c.Journal != nil {
-			if rec, ok := c.Journal.Lookup(j.id); ok {
-				res := rec.Result
-				results[idx] = &res
-				journalHits++
-				c.Tracker.Skip(trkBase + idx)
-				continue
-			}
-		}
-		pending = append(pending, idx)
-	}
-
-	// Fixed-size worker pool: exactly min(NumCPU, len(pending)) goroutines
+	// Fixed-size worker pool: exactly min(NumCPU, len(jobs)) goroutines
 	// exist at any moment, however large the matrix — the alternative
 	// (spawn per job, gate on a semaphore inside) stacks up one idle
 	// goroutine per queued cell. Results and errors land in indexed
 	// slots, so no mutex and no result reordering.
-	workers := runtime.NumCPU()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	st := c.store()
+	results := make([]*sim.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	workers := min(runtime.NumCPU(), len(jobs))
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 	var chaosPanics, chaosCancels uint64
@@ -376,29 +371,34 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 					c.Tracker.Fail(i, trkBase+idx, err, false)
 					continue
 				}
-				c.Tracker.Start(i, trkBase+idx)
-				res, err := c.runCell(ctx, j, p, profile)
-				if err != nil {
-					errs[idx] = err
-					if c.Tracker != nil {
-						var ce *CellError
-						panicked := errors.As(err, &ce) && ce.Stack != nil
-						c.Tracker.Fail(i, trkBase+idx, err, panicked)
+				// The store serves a cell an earlier matrix ran from
+				// memory and a proven one from the journal; any other it
+				// simulates once and makes durable before returning it.
+				// Only a simulated cell is ever running.
+				rec, tier, err := st.GetOrCompute(ctx, j.id, func(ctx context.Context) (*journal.Record, error) {
+					c.Tracker.Start(i, trkBase+idx)
+					res, err := c.runCell(ctx, j, p, profile)
+					if err != nil {
+						return nil, err
 					}
+					return journal.FromResult(res), nil
+				})
+				if err != nil {
+					var ce *CellError
+					if !errors.As(err, &ce) {
+						ce = &CellError{Cell: j.id, Err: err}
+						err = ce
+					}
+					errs[idx] = err
+					c.Tracker.Fail(i, trkBase+idx, err, ce.Stack != nil)
 					continue
 				}
-				if c.Journal != nil {
-					if err := c.Journal.Append(j.id, journal.FromResult(res)); err != nil {
-						// Durability is part of the contract when a journal
-						// is attached: a cell whose proof cannot be written
-						// is reported failed (its result is still returned
-						// in-memory via results for this run).
-						errs[idx] = &CellError{Cell: j.id, Err: err}
-					}
-				}
-				results[idx] = res
-				if errs[idx] != nil {
-					c.Tracker.Fail(i, trkBase+idx, errs[idx], false)
+				// The record is immutable and shared with the store, so
+				// the result is a copy of it (with no NVM image).
+				res := rec.Result
+				results[idx] = &res
+				if tier == store.TierDisk {
+					c.Tracker.Skip(trkBase + idx)
 				} else {
 					c.Tracker.Done(i, trkBase+idx)
 				}
@@ -408,7 +408,7 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	// Dispatch until done or cancelled; either way the channel closes and
 	// the workers join before runMatrix returns.
 feed:
-	for _, idx := range pending {
+	for idx := range jobs {
 		select {
 		case jobCh <- idx:
 		case <-ctx.Done():
@@ -418,16 +418,11 @@ feed:
 	close(jobCh)
 	wg.Wait()
 
-	// Fold journal/chaos activity into the metrics accumulator.
-	if c.Metrics != nil && (c.Journal != nil || c.Chaos != nil) {
+	// Fold chaos activity into the metrics accumulator.
+	if c.Metrics != nil && c.Chaos != nil {
 		snap := telemetry.NewSnapshot()
-		if c.Journal != nil {
-			snap.Counters["journal.cells_reused"] = uint64(journalHits)
-		}
-		if c.Chaos != nil {
-			snap.Counters["chaos.injected_panics"] = c.Chaos.Panics() - chaosPanics
-			snap.Counters["chaos.injected_cancels"] = c.Chaos.Cancels() - chaosCancels
-		}
+		snap.Counters["chaos.injected_panics"] = c.Chaos.Panics() - chaosPanics
+		snap.Counters["chaos.injected_cancels"] = c.Chaos.Cancels() - chaosCancels
 		c.metricsMu.Lock()
 		err := c.Metrics.Merge(snap)
 		c.metricsMu.Unlock()
@@ -550,19 +545,23 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 	return res, nil
 }
 
-// MetricsSnapshot returns a copy of the accumulated simulation metrics,
-// safe to call concurrently with a running matrix — the live /metrics
-// endpoint scrapes it mid-campaign. An empty snapshot when metrics
-// accumulation is off.
+// MetricsSnapshot returns a copy of the accumulated simulation metrics
+// merged with the context store's counters (once the first matrix has
+// built it), safe to call concurrently with a running matrix — the live
+// /metrics endpoint scrapes it mid-campaign. An empty snapshot when
+// metrics accumulation is off.
 func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	out := telemetry.NewSnapshot()
 	if c.Metrics == nil {
 		return out
 	}
 	c.metricsMu.Lock()
-	defer c.metricsMu.Unlock()
 	// Merging into an empty snapshot deep-copies and cannot conflict.
 	_ = out.Merge(c.Metrics)
+	c.metricsMu.Unlock()
+	if st := c.cells.Load(); st != nil {
+		_ = out.Merge(st.Stats().Metrics()) // counters and gauges only: cannot fail
+	}
 	return out
 }
 

@@ -3,8 +3,10 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -280,5 +282,53 @@ func TestWTBetweenNVPAndNVSRAM(t *testing.T) {
 	}
 	if r.OutageFree >= fig5.GeoAll[arch.NVSRAM] {
 		t.Errorf("WT (%.2f) should not reach NVSRAM (%.2f)", r.OutageFree, fig5.GeoAll[arch.NVSRAM])
+	}
+}
+
+// TestContextSimulatesEachCellOnce: figures sharing one Context share its
+// store, so a cell an earlier figure ran is served from memory, not
+// simulated again — and the printed tables are exactly what fresh
+// contexts print. Parallelism reads the NVP and Sweep-EmptyBit cells of
+// Figs 5 and 7, so the three figures simulate 80 distinct cells and
+// reuse 32. A scraper reads the metrics throughout, as /metrics does.
+func TestContextSimulatesEachCellOnce(t *testing.T) {
+	figs := []func(*Context) error{
+		func(c *Context) error { _, err := c.Fig5(); return err },
+		func(c *Context) error { _, err := c.Fig7(); return err },
+		func(c *Context) error { _, err := c.Parallelism(); return err },
+	}
+	shared := quickCtx()
+	var got, want strings.Builder
+	shared.Out = &got
+	shared.Metrics = telemetry.NewSnapshot()
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				shared.MetricsSnapshot()
+			}
+		}
+	}()
+	defer func() { close(stop); <-scraped }()
+	for _, fig := range figs {
+		if err := fig(shared); err != nil {
+			t.Fatal(err)
+		}
+		fresh := quickCtx()
+		fresh.Out = &want
+		if err := fig(fresh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("shared context printed\n%s\nfresh contexts printed\n%s", got.String(), want.String())
+	}
+	snap := shared.MetricsSnapshot()
+	if runs, hits := snap.Counters["sim.runs"], snap.Counters["store.mem_hits"]; runs != 80 || hits != 32 {
+		t.Errorf("sim.runs %d, store.mem_hits %d; want 80 and 32", runs, hits)
 	}
 }

@@ -105,9 +105,9 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	if snap.Counters["campaign_cells_skipped"] != 4 {
 		t.Fatalf("campaign_cells_skipped = %d", snap.Counters["campaign_cells_skipped"])
 	}
-	// The context accumulator counts the reuse too (what -metrics prints).
-	if c2.MetricsSnapshot().Counters["journal.cells_reused"] != 4 {
-		t.Fatalf("journal.cells_reused = %d", c2.MetricsSnapshot().Counters["journal.cells_reused"])
+	// The context's snapshot counts the reuse too (what -metrics prints).
+	if got := c2.MetricsSnapshot().Counters["store.disk_hits"]; got != 4 {
+		t.Fatalf("store.disk_hits = %d", got)
 	}
 }
 
@@ -147,5 +147,52 @@ func TestRunMatrixTrackerTimeouts(t *testing.T) {
 	}
 	if p.Panics != 0 {
 		t.Fatalf("timeouts counted as panics: %d", p.Panics)
+	}
+}
+
+// TestRunMatrixTrackerServedCells: a cell the context's store serves is
+// never running and adds no latency sample. It ends done when an earlier
+// matrix of the run simulated it (a memory hit), and skipped when the
+// journal proved it before the run (a disk hit).
+func TestRunMatrixTrackerServedCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j1, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1.Fsync = false
+	c1, kinds := trackedCtx()
+	c1.Journal = j1
+	for range 2 {
+		if _, err := c1.runMatrix(kinds, nil, c1.Params, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j1.Close()
+	p := c1.Tracker.Progress()
+	if p.Total != 8 || p.Done != 8 || p.Skipped != 0 {
+		t.Fatalf("memory-hit counts: %+v", p)
+	}
+	for i, cp := range p.Cells {
+		if simulated := i < 4; simulated != (cp.DurationMs > 0) {
+			t.Errorf("cell %d (%s/%s): duration %g ms, simulated %v", i, cp.Workload, cp.Scheme, cp.DurationMs, simulated)
+		}
+	}
+	if st := c1.store().Stats(); st.Misses != 4 || st.MemHits != 4 {
+		t.Fatalf("store stats %+v, want 4 misses and 4 memory hits", st)
+	}
+
+	j2, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	c2, kinds := trackedCtx()
+	c2.Journal = j2
+	if _, err := c2.runMatrix(kinds, nil, c2.Params, 1); err != nil {
+		t.Fatal(err)
+	}
+	if p := c2.Tracker.Progress(); p.Skipped != 4 || p.Done != 0 || p.P50Ms != 0 {
+		t.Fatalf("disk-hit counts: %+v", p)
 	}
 }

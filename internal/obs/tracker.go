@@ -1,6 +1,7 @@
 // Package obs is the live observability layer for experiment campaigns:
 // a CampaignTracker that follows every matrix cell through its state
-// machine (pending → running → done/failed, or skipped when the journal
+// machine (pending → running → done/failed; done directly when an earlier
+// matrix of the run already simulated it, skipped when the journal
 // already proves it), a slow-cell watchdog, and an opt-in HTTP
 // introspection server exposing /metrics (Prometheus text), /progress
 // (JSON), /healthz, and /runinfo.
@@ -31,8 +32,8 @@ const (
 	CellPending CellState = iota
 	// CellRunning: a worker is simulating it right now.
 	CellRunning
-	// CellDone: completed successfully (and journaled, if a journal is
-	// attached).
+	// CellDone: simulated successfully (and journaled, if a journal is
+	// attached), or served from the memory of an earlier matrix.
 	CellDone
 	// CellFailed: simulation error, worker panic, timeout, or drained by
 	// a cancellation.
@@ -187,8 +188,8 @@ func (t *CampaignTracker) Start(worker, idx int) {
 	w.heartbeat = now
 }
 
-// Done marks a cell complete and folds its latency into the rolling
-// window.
+// Done marks a cell complete and, if it was started, folds its latency
+// into the rolling window.
 func (t *CampaignTracker) Done(worker, idx int) {
 	if t == nil {
 		return
@@ -248,7 +249,7 @@ func (t *CampaignTracker) finish(worker, idx int, to CellState, err error, panic
 			}
 			c.errMsg = msg
 		}
-		if to == CellDone {
+		if to == CellDone && !c.started.IsZero() { // a served cell adds no sample
 			t.lat[t.latHead] = c.dur
 			t.latHead = (t.latHead + 1) % latWindow
 			t.latN++

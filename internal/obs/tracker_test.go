@@ -129,6 +129,31 @@ func TestTrackerETAMonotonic(t *testing.T) {
 	}
 }
 
+// TestTrackerDoneWithoutStartAddsNoSample: a cell that ends done without
+// ever running (served from an earlier matrix's memory) counts as done
+// but adds no latency sample, so reused cells cannot pull the quantiles,
+// and with them the watchdog's threshold, toward zero.
+func TestTrackerDoneWithoutStartAddsNoSample(t *testing.T) {
+	clk := newFakeClock()
+	tr := testTracker(clk)
+	tr.AddCells([]CellMeta{{Workload: "sha"}, {Workload: "fft"}, {Workload: "fft"}})
+	tr.Start(0, 0)
+	clk.advance(40 * time.Millisecond)
+	tr.Done(0, 0)
+	tr.Done(0, 1)
+	tr.Done(1, 2)
+	p := tr.Progress()
+	if p.Done != 3 || p.Running != 0 {
+		t.Fatalf("counts: %+v", p)
+	}
+	if tr.latN != 1 || p.P50Ms != 40 || p.P95Ms != 40 {
+		t.Fatalf("%d latency samples, p50=%g p95=%g; want 1 sample of 40 ms", tr.latN, p.P50Ms, p.P95Ms)
+	}
+	if p.Cells[1].DurationMs != 0 || p.Cells[2].DurationMs != 0 {
+		t.Fatalf("unstarted cells carry durations: %+v", p.Cells[1:])
+	}
+}
+
 // TestTrackerNilSafe calls every hook on a nil tracker and checks the
 // read side degrades to empty documents.
 func TestTrackerNilSafe(t *testing.T) {

@@ -395,17 +395,8 @@ func (s *Service) counters() map[string]uint64 {
 // for one scrape — the Extra hook for the obs /metrics endpoint. Every
 // counter is present from the first scrape, zeros included.
 func (s *Service) MetricsSnapshot() *telemetry.Snapshot {
-	st := s.store.Stats()
-	snap := st.Disk.Metrics()
-	c, g := snap.Counters, snap.Gauges
-	maps.Copy(c, s.counters())
-	c["store.mem_hits"] = st.MemHits
-	c["store.disk_hits"] = st.DiskHits
-	c["store.misses"] = st.Misses
-	c["store.dedup_collapses"] = st.DedupCollapses
-	c["store.errors"] = st.Errors
-	g["store.in_flight"] = float64(st.InFlight)
-	g["store.mem_entries"] = float64(st.MemEntries)
-	g["service.quarantined_cells"] = float64(s.QuarantinedCells())
+	snap := s.store.Stats().Metrics()
+	maps.Copy(snap.Counters, s.counters())
+	snap.Gauges["service.quarantined_cells"] = float64(s.QuarantinedCells())
 	return snap
 }

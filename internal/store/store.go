@@ -20,12 +20,14 @@
 package store
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 )
 
 // Tier names where a record came from.
@@ -65,6 +67,22 @@ type Stats struct {
 	Disk journal.Stats `json:"disk"`
 }
 
+// Metrics renders the stats for one /metrics scrape: the five store.*
+// counters, the in-flight and memory-entry gauges, and the disk tier's
+// journal counts. Every key is present, zeros included.
+func (st Stats) Metrics() *telemetry.Snapshot {
+	s := st.Disk.Metrics()
+	c := s.Counters
+	c["store.mem_hits"] = st.MemHits
+	c["store.disk_hits"] = st.DiskHits
+	c["store.misses"] = st.Misses
+	c["store.dedup_collapses"] = st.DedupCollapses
+	c["store.errors"] = st.Errors
+	s.Gauges["store.in_flight"] = float64(st.InFlight)
+	s.Gauges["store.mem_entries"] = float64(st.MemEntries)
+	return s
+}
+
 // DefaultMemCap is the memory tier's entry bound when the caller passes
 // a non-positive cap. Records are a few hundred bytes of counters each,
 // so the default keeps the hot set of a large campaign resident for
@@ -81,11 +99,17 @@ type flight struct {
 	abandoned bool
 }
 
+// entry is one memory-tier record: the value of an LRU list element.
+type entry struct {
+	key string
+	rec *journal.Record
+}
+
 // Store is a tiered, deduplicating result store. Safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	mem     map[string]*journal.Record
-	order   []string // LRU order, least recently used first
+	mem     map[string]*list.Element // each holds an *entry
+	lru     list.List                // most recently used first
 	memCap  int
 	disk    *journal.Journal // nil = memory-only
 	flights map[string]*flight
@@ -100,7 +124,7 @@ func New(disk *journal.Journal, memCap int) *Store {
 		memCap = DefaultMemCap
 	}
 	return &Store{
-		mem:     make(map[string]*journal.Record),
+		mem:     make(map[string]*list.Element),
 		memCap:  memCap,
 		disk:    disk,
 		flights: make(map[string]*flight),
@@ -121,38 +145,28 @@ func Open(path string, memCap int) (*Store, error) {
 	return New(disk, memCap), nil
 }
 
-// touchLocked moves key to the most-recently-used end of the LRU order,
-// appending it if new.
-func (s *Store) touchLocked(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
-		}
-	}
-	s.order = append(s.order, key)
-}
-
-// insertLocked puts a record into the memory tier, evicting LRU entries
-// beyond the cap. Eviction only demotes: the record stays on disk.
+// insertLocked puts a record into the memory tier as its most recently
+// used entry, evicting the least recently used beyond the cap. Eviction
+// only demotes: the record stays on disk.
 func (s *Store) insertLocked(key string, rec *journal.Record) {
-	s.mem[key] = rec
-	s.touchLocked(key)
-	for len(s.mem) > s.memCap {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.mem, victim)
+	if e, ok := s.mem[key]; ok {
+		e.Value.(*entry).rec = rec
+		s.lru.MoveToFront(e)
+		return
+	}
+	s.mem[key] = s.lru.PushFront(&entry{key, rec})
+	if s.lru.Len() > s.memCap {
+		delete(s.mem, s.lru.Remove(s.lru.Back()).(*entry).key)
 	}
 }
 
 // lookupLocked walks the tiers for key. On a disk hit the record is
 // promoted into the memory tier.
 func (s *Store) lookupLocked(c journal.Cell, key string) (*journal.Record, Tier, bool) {
-	if rec, ok := s.mem[key]; ok {
+	if e, ok := s.mem[key]; ok {
 		s.stats.MemHits++
-		s.touchLocked(key)
-		return rec, TierMemory, true
+		s.lru.MoveToFront(e)
+		return e.Value.(*entry).rec, TierMemory, true
 	}
 	if s.disk != nil {
 		// Lock order is always store.mu -> journal.mu, never the reverse.

@@ -98,6 +98,36 @@ func TestTiers(t *testing.T) {
 	}
 }
 
+// TestLRUEviction pins the memory tier's eviction order: a hit makes a
+// record the most recently used, so the insert beyond the cap evicts the
+// least recently used one instead.
+func TestLRUEviction(t *testing.T) {
+	s := store.New(nil, 2)
+	a, b, c := cellN(1), cellN(2), cellN(3)
+	for _, n := range []int{1, 2} {
+		if err := s.Put(cellN(n), recN(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, tier, ok := s.Lookup(a); !ok || tier != store.TierMemory {
+		t.Fatalf("a before eviction: tier=%v ok=%v", tier, ok)
+	}
+	if err := s.Put(c, recN(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.Lookup(b); ok {
+		t.Error("b, the least recently used, survived the insert beyond the cap")
+	}
+	for _, id := range []journal.Cell{a, c} {
+		if _, tier, ok := s.Lookup(id); !ok || tier != store.TierMemory {
+			t.Errorf("%s after eviction: tier=%v ok=%v, want a memory hit", id.Workload, tier, ok)
+		}
+	}
+	if st := s.Stats(); st.MemEntries != 2 {
+		t.Errorf("memory tier holds %d entries, want the cap of 2", st.MemEntries)
+	}
+}
+
 // TestSingleflightExactlyOnce: many concurrent requests per key, one
 // simulation per key — the dedup invariant the service's cost model
 // rests on. Every compute holds its flight open until all followers of
