@@ -1,14 +1,16 @@
 // Command sweepd serves simulation results over HTTP: simulation-as-a-
 // service on top of the experiment engine. A request names one cell
 // (workload × scheme × supply profile × seed × scale × params) and the
-// server answers from its tiered result store — bounded in-memory LRU
-// over the durable append-only journal — simulating only on a miss,
-// with concurrent identical requests collapsed onto one simulation.
+// server answers from its result store — one in-memory index over the
+// durable append-only journal — simulating only on a miss, with
+// concurrent identical requests collapsed onto one simulation. A hit
+// is "disk" when the journal held the cell at start-up and "memory"
+// when this daemon computed it.
 //
 // Usage:
 //
 //	sweepd -listen :8077 -store cells.jsonl
-//	sweepd -listen :8077 -store cells.jsonl -maxsim 4 -memcap 1024
+//	sweepd -listen :8077 -store cells.jsonl -maxsim 4
 //
 // Endpoints: POST /v1/cell, POST /v1/cells, GET /v1/stats, plus the
 // standard introspection plane (/metrics, /progress, /healthz,
@@ -36,8 +38,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":8077", "address to serve on")
-	storePath := flag.String("store", "", "durable journal path for the disk tier ('' = memory-only, no restarts)")
-	memCap := flag.Int("memcap", 0, "memory-tier capacity in records (0 = default)")
+	storePath := flag.String("store", "", "durable journal path ('' = memory-only, no restarts)")
 	maxSim := flag.Int("maxsim", 0, "max concurrent simulations (0 = NumCPU); cache hits are never gated")
 	cellTimeout := flag.Duration("celltimeout", 0, "per-simulation wall-clock bound (0 = none)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for simulations (testing only)")
@@ -57,7 +58,6 @@ func main() {
 
 	cfg := service.Config{
 		StorePath:   *storePath,
-		MemCap:      *memCap,
 		MaxSim:      *maxSim,
 		CellTimeout: *cellTimeout,
 		Tracker:     obs.NewCampaignTracker(log),
@@ -90,7 +90,7 @@ func main() {
 	st := svc.Store().Stats()
 	log.Info("sweepd serving",
 		"addr", ln.Addr().String(), "store", *storePath,
-		"cells_loaded", st.Disk.Loaded, "mem_cap", st.MemCap,
+		"cells_loaded", st.Disk.Loaded,
 		"engine", sim.EngineVersion)
 
 	// First SIGINT/SIGTERM drains gracefully; a second one kills the

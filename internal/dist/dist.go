@@ -623,10 +623,10 @@ func (c *Coordinator) fail(err error) {
 	c.mu.Unlock()
 }
 
-// hedger is the straggler scan: once the tracker's latency window is
-// warm, any cell with exactly one lease in flight for more than
-// HedgeK×p95 is re-enqueued, so another lane races the straggler and
-// the first completion cancels the loser.
+// hedger is the straggler scan: once the tracker's straggler rule is
+// armed, any cell with exactly one lease in flight for longer than
+// SlowLimit(HedgeK) is re-enqueued, so another lane races the straggler
+// and the first completion cancels the loser.
 func (c *Coordinator) hedger(ctx context.Context) {
 	tick := time.NewTicker(c.cfg.HedgeInterval)
 	defer tick.Stop()
@@ -638,11 +638,10 @@ func (c *Coordinator) hedger(ctx context.Context) {
 			return
 		case <-tick.C:
 		}
-		p := c.cfg.Tracker.Progress()
-		if p.Done < 8 || p.P95Ms <= 0 {
+		limit, armed := c.cfg.Tracker.SlowLimit(c.cfg.HedgeK)
+		if !armed {
 			continue // too early to know what "slow" means
 		}
-		limit := time.Duration(c.cfg.HedgeK * p.P95Ms * float64(time.Millisecond))
 		now := time.Now()
 		c.mu.Lock()
 		for _, t := range c.tasks {
@@ -657,7 +656,7 @@ func (c *Coordinator) hedger(ctx context.Context) {
 			c.cfg.Log.Info("hedging straggler cell",
 				"workload", t.req.Workload, "scheme", t.req.Scheme,
 				"elapsed", now.Sub(t.started).Round(time.Millisecond),
-				"p95_ms", p.P95Ms, "k", c.cfg.HedgeK)
+				"limit", limit.Round(time.Millisecond), "k", c.cfg.HedgeK)
 			c.enqueue(t, 0)
 		}
 		c.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,11 +64,11 @@ type Context struct {
 	// time; an overrunning cell fails with context.DeadlineExceeded while
 	// the rest of the matrix completes.
 	CellTimeout time.Duration
-	// Journal, when non-nil, makes the run crash-safe: it is the disk
-	// tier of the context's store, so every simulated cell is appended
-	// durably and cells proven under the identical configuration (and
-	// engine version) are served from it. It is read once, at the
-	// context's first matrix. See internal/journal and internal/store.
+	// Journal, when non-nil, makes the run crash-safe: its index is the
+	// context's store, so every simulated cell is appended durably and
+	// cells proven under the identical configuration (and engine
+	// version) are served from it. It is read once, at the context's
+	// first matrix. See internal/journal and internal/store.
 	Journal *journal.Journal
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
 	// mid-run cancellation) for resilience testing. See internal/chaos.
@@ -93,15 +92,16 @@ type Context struct {
 	metricsMu sync.Mutex
 	traceSeq  atomic.Uint64
 
-	// cells serves every matrix cell from a never-evicting memory tier
-	// over Journal (the caller's to close), built at the first matrix.
+	// cells serves every matrix cell from Journal's index (Journal is
+	// the caller's to close), or from a journal with no file when
+	// Journal is nil. It is built at the first matrix.
 	cellsOnce sync.Once
 	cells     atomic.Pointer[store.Store]
 }
 
 // store returns the context's result store, building it on first use.
 func (c *Context) store() *store.Store {
-	c.cellsOnce.Do(func() { c.cells.Store(store.New(c.Journal, math.MaxInt)) })
+	c.cellsOnce.Do(func() { c.cells.Store(store.New(c.Journal)) })
 	return c.cells.Load()
 }
 

@@ -104,8 +104,8 @@ func TestKillResumeInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume run failed: %v", err)
 	}
-	if hits := j2.Stats().Hits; hits != st.Appends {
-		t.Errorf("resume re-simulated journaled cells: %d hits, want %d", hits, st.Appends)
+	if hits := c2.store().Stats().DiskHits; hits != uint64(st.Appends) {
+		t.Errorf("resume re-simulated journaled cells: %d disk hits, want %d", hits, st.Appends)
 	}
 
 	// Every cell's journal record must hash identically to the

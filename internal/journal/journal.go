@@ -22,6 +22,12 @@
 // truncated disk, bit rot) is counted and skipped, and the cell simply
 // re-runs. The journal never makes a run fail that would have succeeded
 // without one.
+//
+// A Journal's in-memory index is also the only index of the result
+// store (internal/store). A journal may have no file (New): its Appends
+// only index, so a memory-only store and a durable one share one index
+// implementation and differ only in whether a record outlives the
+// process.
 package journal
 
 import (
@@ -71,11 +77,10 @@ func (c Cell) Key() string {
 // Record is the durable form of a sim.Result: the result's own JSON
 // encoding (its struct tags are the format) plus NVMHash, the content
 // hash of the final NVM image. The image itself is never kept — a
-// record's NVM is always nil — because the journal index and the store
-// tiers hold every record in memory, while the hash is what result
-// digests and golden tests pin. A counter added to sim.Result or
-// arch.Stats therefore reaches every journal, store tier and service
-// response with no edit here.
+// record's NVM is always nil — because the journal's index holds every
+// record in memory, while the hash is what result digests and golden
+// tests pin. A counter added to sim.Result or arch.Stats therefore
+// reaches every journal, store and service response with no edit here.
 //
 // Records are immutable once built: readers copy the embedded Result
 // and never write through a record.
@@ -122,12 +127,12 @@ type line struct {
 	Record *Record `json:"record"`
 }
 
-// Stats counts what the journal has seen.
+// Stats counts what the journal's file has seen; a journal with no file
+// counts nothing.
 type Stats struct {
 	Loaded  int // valid entries recovered at Open
 	Corrupt int // lines skipped at Open (parse, key, or digest failure)
-	Hits    int // Lookup calls that returned a record
-	Appends int // entries appended this session
+	Appends int // entries appended to the file since Open
 	// TailError records a scanner failure during Open — e.g. a line beyond
 	// the 64 MB buffer cap — that made the entire remaining tail of the
 	// file unreadable. Unlike a Corrupt line (one bad entry), a tail error
@@ -146,18 +151,36 @@ func (st Stats) Metrics() *telemetry.Snapshot {
 	return s
 }
 
-// Journal is an open cell journal: an in-memory index over an append-only
-// file. Safe for concurrent use.
+// Journal is a cell index, optionally over an append-only file. Safe
+// for concurrent use.
 type Journal struct {
+	// wmu serializes appends — the file write, its fsync, the index
+	// insert — and Close. An append takes mu only for the insert, so an
+	// fsync never stalls a Lookup.
+	wmu sync.Mutex
+	f   *os.File // nil: no file (New)
+
+	// mu guards entries and stats. It is never held across I/O.
 	mu      sync.Mutex
-	f       *os.File
-	entries map[string]*Record
+	entries map[string]entry
 	stats   Stats
 	// Fsync forces a Sync after every append (the default): an entry is
 	// durable against power loss, not just process death, before the cell
 	// is reported complete. Tests may disable it for speed.
 	Fsync bool
 }
+
+// entry is one indexed record and its origin.
+type entry struct {
+	rec *Record
+	// loaded: read from the file at Open, so proven before this process
+	// started; false for a record appended since.
+	loaded bool
+}
+
+// New returns a journal with no file: an index that Append fills
+// without writing, so nothing outlives the process. Close does nothing.
+func New() *Journal { return &Journal{entries: map[string]entry{}} }
 
 // Open reads (or creates) the journal at path and indexes its valid
 // entries. Corrupt or truncated lines — a crash mid-append leaves at most
@@ -174,7 +197,7 @@ func Open(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	j := &Journal{f: f, entries: map[string]*Record{}, Fsync: true}
+	j := &Journal{f: f, entries: map[string]entry{}, Fsync: true}
 
 	if err := lockFile(f, false); err != nil {
 		f.Close()
@@ -199,7 +222,7 @@ func Open(path string) (*Journal, error) {
 			j.stats.Corrupt++
 			continue
 		}
-		j.entries[l.Key] = l.Record
+		j.entries[l.Key] = entry{rec: l.Record, loaded: true}
 		j.stats.Loaded++
 	}
 	if err := sc.Err(); err != nil {
@@ -222,27 +245,52 @@ func Open(path string) (*Journal, error) {
 
 // Lookup returns the journalled record for the cell, if one exists.
 func (j *Journal) Lookup(c Cell) (*Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.entries[c.Key()]
-	if ok {
-		j.stats.Hits++
-	}
+	rec, _, ok := j.Get(c.Key())
 	return rec, ok
 }
 
-// Append journals one completed cell durably: the line is written and (by
-// default) fsynced before Append returns, so a kill immediately after
-// cannot lose it.
+// Get returns the record indexed under a cell key, and whether it was
+// loaded: read from the file at Open rather than appended since.
+func (j *Journal) Get(key string) (rec *Record, loaded, ok bool) {
+	j.mu.Lock()
+	e, ok := j.entries[key]
+	j.mu.Unlock()
+	return e.rec, e.loaded, ok
+}
+
+// Append journals one completed cell: with a file, the line is written
+// and (by default) fsynced before the record is indexed and Append
+// returns, so a kill immediately after cannot lose it.
 func (j *Journal) Append(c Cell, rec *Record) error {
-	l := line{Format: FormatVersion, Key: c.Key(), Cell: c, Digest: rec.Digest(), Record: rec}
-	raw, err := json.Marshal(&l)
-	if err != nil {
-		return fmt.Errorf("journal: marshal entry: %w", err)
+	key := c.Key()
+	var raw []byte
+	if j.f != nil {
+		l := line{Format: FormatVersion, Key: key, Cell: c, Digest: rec.Digest(), Record: rec}
+		var err error
+		if raw, err = json.Marshal(&l); err != nil {
+			return fmt.Errorf("journal: marshal entry: %w", err)
+		}
+		raw = append(raw, '\n')
 	}
-	raw = append(raw, '\n')
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	if j.f != nil {
+		if err := j.write(raw); err != nil {
+			return err
+		}
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.entries[key] = entry{rec: rec}
+	if j.f != nil {
+		j.stats.Appends++
+	}
+	return nil
+}
+
+// write appends one line to the file and, with Fsync, syncs it. Callers
+// hold wmu.
+func (j *Journal) write(raw []byte) error {
 	// Exclusive advisory lock for the write+sync: O_APPEND already lands
 	// the single write() whole at the end of the file, and the lock keeps
 	// concurrent handles (other processes sharing this journal) from
@@ -259,12 +307,10 @@ func (j *Journal) Append(c Cell, rec *Record) error {
 			return fmt.Errorf("journal: sync: %w", err)
 		}
 	}
-	j.entries[l.Key] = rec
-	j.stats.Appends++
 	return nil
 }
 
-// Len returns the number of distinct cells currently proven.
+// Len returns the number of distinct cells the index holds.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -278,10 +324,13 @@ func (j *Journal) Stats() Stats {
 	return j.stats
 }
 
-// Close releases the underlying file. The journal stays readable in
-// memory but further Appends fail.
+// Close releases the file. The index stays readable, but further
+// Appends to a file-backed journal fail.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
 	return j.f.Close()
 }

@@ -441,10 +441,8 @@ func (t *CampaignTracker) Metrics() *telemetry.Snapshot {
 }
 
 // StartWatchdog begins the slow-cell watchdog: every interval it checks
-// each running cell against k× the rolling p95 completed-cell latency
-// and logs one warning per offender (once at least minSamples cells
-// have completed, so early noise can't trip it). Returns a stop
-// function; both are nil-safe.
+// each running cell against SlowLimit(k) and logs one warning per
+// offender. Returns a stop function; both are nil-safe.
 func (t *CampaignTracker) StartWatchdog(interval time.Duration, k float64) (stop func()) {
 	if t == nil {
 		return func() {}
@@ -472,22 +470,44 @@ func (t *CampaignTracker) StartWatchdog(interval time.Duration, k float64) (stop
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// minSamples is how many completed cells the watchdog needs before its
-// p95 threshold means anything.
+// minSamples is how many completed cells the straggler rule needs
+// before its p95 threshold means anything.
 const minSamples = 8
+
+// SlowLimit is the one straggler rule, shared by the slow-cell watchdog
+// and dist's hedger: a running cell is slow once it has run longer than
+// k× the rolling p95 completed-cell latency. The rule is armed only
+// after minSamples cells have completed with a positive p95; until then
+// SlowLimit returns 0, false. Nil-safe.
+func (t *CampaignTracker) SlowLimit(k float64) (limit time.Duration, armed bool) {
+	if t == nil {
+		return 0, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.slowLimit(k)
+}
+
+// slowLimit is SlowLimit for callers that hold t.mu.
+func (t *CampaignTracker) slowLimit(k float64) (time.Duration, bool) {
+	if t.latN < minSamples {
+		return 0, false
+	}
+	p95 := quantile(t.latencies(), 0.95)
+	if p95 <= 0 {
+		return 0, false
+	}
+	return time.Duration(k * float64(p95)), true
+}
 
 // sniff is one watchdog pass.
 func (t *CampaignTracker) sniff(k float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.latN < minSamples {
+	limit, armed := t.slowLimit(k)
+	if !armed {
 		return
 	}
-	p95 := quantile(t.latencies(), 0.95)
-	if p95 <= 0 {
-		return
-	}
-	limit := time.Duration(k * float64(p95))
 	now := t.now()
 	for i := range t.cells {
 		c := &t.cells[i]
@@ -500,7 +520,7 @@ func (t *CampaignTracker) sniff(k float64) {
 				"workload", c.meta.Workload, "scheme", c.meta.Scheme,
 				"profile", c.meta.Profile, "worker", c.worker,
 				"elapsed", el.Round(time.Millisecond),
-				"p95", p95.Round(time.Millisecond), "k", k)
+				"limit", limit.Round(time.Millisecond), "k", k)
 		}
 	}
 }

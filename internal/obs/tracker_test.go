@@ -154,6 +154,31 @@ func TestTrackerDoneWithoutStartAddsNoSample(t *testing.T) {
 	}
 }
 
+// TestSlowLimitArmsAfterMinSamples pins the one straggler rule the
+// watchdog and dist's hedger share: disarmed until minSamples cells
+// have completed, then k× the rolling p95 completed-cell latency.
+func TestSlowLimitArmsAfterMinSamples(t *testing.T) {
+	clk := newFakeClock()
+	tr := testTracker(clk)
+	tr.AddCells(make([]CellMeta, minSamples))
+	for i := 0; i < minSamples; i++ {
+		if limit, armed := tr.SlowLimit(4); armed || limit != 0 {
+			t.Fatalf("after %d samples: limit %v, armed %v; want 0, false", i, limit, armed)
+		}
+		tr.Start(0, i)
+		clk.advance(time.Duration(i+1) * 10 * time.Millisecond)
+		tr.Done(0, i)
+	}
+	// Samples of 10, 20, …, 80 ms put the p95 at 70 ms.
+	if limit, armed := tr.SlowLimit(4); !armed || limit != 280*time.Millisecond {
+		t.Fatalf("after %d samples: limit %v, armed %v; want 280ms, true", minSamples, limit, armed)
+	}
+	var nilTr *CampaignTracker
+	if limit, armed := nilTr.SlowLimit(4); armed || limit != 0 {
+		t.Fatalf("nil tracker: limit %v, armed %v", limit, armed)
+	}
+}
+
 // TestTrackerNilSafe calls every hook on a nil tracker and checks the
 // read side degrades to empty documents.
 func TestTrackerNilSafe(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // The worker half of the distributed-campaign lease protocol
 // (internal/dist is the coordinator half). A lease names one cell plus
 // the coordinator's bookkeeping — lease ID, attempt number, TTL — and
-// the worker simply serves the cell through the same tiered-store path
+// the worker simply serves the cell through the same store path
 // as /v1/cell, bounded by the TTL. Leases are idempotent by
 // construction: the cell key is a content hash, so a re-issued or
 // duplicated lease lands on the memoized record (or collapses onto the
@@ -53,7 +53,7 @@ type LeaseResponse struct {
 var ErrDraining = errors.New("service: draining — not accepting new leases")
 
 // Lease serves one coordinator lease: the cell runs through the normal
-// tiered-store path under a TTL-bounded context.
+// store path under a TTL-bounded context.
 func (s *Service) Lease(ctx context.Context, lr LeaseRequest) (*LeaseResponse, error) {
 	if lr.LeaseID == "" {
 		return nil, badRequest("missing lease_id")

@@ -12,8 +12,9 @@ import (
 // clients each walk the Cells list Repeat times. Every client requests
 // every cell, so the same key is in flight from many clients at once —
 // the mixed workload that exercises singleflight dedup (identical
-// concurrent requests), the memory tier (repeats), and the miss path
-// (first arrivals), all in one run.
+// concurrent requests), store hits (repeats: memory for a cell this
+// daemon simulated, disk for one its journal held at start-up), and the
+// miss path (first arrivals), all in one run.
 type LoadSpec struct {
 	Clients int           `json:"clients"`
 	Repeat  int           `json:"repeat"`

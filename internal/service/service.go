@@ -1,10 +1,10 @@
 // Package service is simulation-as-a-service: the layer that turns the
 // batch experiment engine into a server. A request names one experiment
 // cell — workload × scheme × supply profile × seed × scale × params —
-// and the service serves its result from the tiered store
-// (internal/store: LRU memory tier over the durable journal), only
-// simulating on a miss, with singleflight collapsing concurrent
-// identical requests into one simulation.
+// and the service serves its result from the store (internal/store:
+// one index, the journal's, over the durable journal file when there is
+// one), only simulating on a miss, with singleflight collapsing
+// concurrent identical requests into one simulation.
 //
 // Simulation reuses the matrix-cell machinery of internal/exp
 // (exp.Context.RunSingle): panic isolation, per-cell timeouts, chaos
@@ -66,9 +66,10 @@ type CellResponse struct {
 	// Key is the cell's content-hash store key.
 	Key  string       `json:"key"`
 	Cell journal.Cell `json:"cell"`
-	// Tier says where the record came from: "memory", "disk", or
-	// "simulated" (a miss — including requests collapsed onto another
-	// request's in-flight simulation).
+	// Tier says where the record came from: "disk" (the journal held
+	// it when the daemon started), "memory" (the daemon simulated it
+	// since), or "simulated" (a miss — including requests collapsed onto
+	// another request's in-flight simulation).
 	Tier string `json:"tier"`
 	// Digest is the record's content digest; every tier and every
 	// replica serves the same digest for the same key.
@@ -89,10 +90,11 @@ func badRequest(format string, args ...any) error {
 
 // Config assembles a Service.
 type Config struct {
-	// StorePath is the disk tier's journal path; empty runs memory-only
+	// StorePath is the store's journal file; empty runs memory-only
 	// (no durability, cold restarts).
 	StorePath string
-	// MemCap bounds the memory tier (entries); <=0 = store.DefaultMemCap.
+	// Deprecated: MemCap is ignored. The store holds every record in its
+	// journal's index, with no memory bound of its own.
 	MemCap int
 	// MaxSim bounds concurrent simulations; <=0 = NumCPU. Cache hits are
 	// never gated.
@@ -143,7 +145,7 @@ type Service struct {
 
 // New builds the service and opens its store.
 func New(cfg Config) (*Service, error) {
-	st, err := store.Open(cfg.StorePath, cfg.MemCap)
+	st, err := store.Open(cfg.StorePath)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +179,7 @@ func New(cfg Config) (*Service, error) {
 // Store exposes the underlying store (tests and stats endpoints).
 func (s *Service) Store() *store.Store { return s.store }
 
-// Close releases the store's disk tier.
+// Close releases the store's journal file.
 func (s *Service) Close() error { return s.store.Close() }
 
 // cellSpec is a parsed, validated request.

@@ -1,13 +1,16 @@
-// Package store promotes the cell journal into a tiered, memoized result
-// store — the heart of simulation-as-a-service. A lookup walks two tiers:
+// Package store is the memoized result store — the heart of
+// simulation-as-a-service, and the path every experiment matrix cell
+// takes. Its one index is the cell journal's (internal/journal), and a
+// hit's tier names the record's origin:
 //
-//   - memory: a bounded LRU over *journal.Record, modeled on the shared
-//     trace-tape cache — hot cells cost a map probe, eviction simply
-//     demotes a cell back to "disk-only".
-//   - disk: the durable JSONL journal (internal/journal), which also
-//     gives the store its crash story: every computed cell is fsynced
-//     before the caller sees it, and a restarted store re-serves the
-//     whole corpus from the first Lookup.
+//   - disk: read from the journal file at Open, so proven before this
+//     process started;
+//   - memory: computed and stored since.
+//
+// Every computed cell is appended to the journal (fsynced, when it has
+// a file) before the caller sees it, so a restarted store re-serves the
+// whole corpus from the first Lookup. A memory-only store is a journal
+// with no file: the same index, with every restart cold.
 //
 // Misses go through singleflight dedup: N concurrent requests for the
 // same cell key cost exactly one simulation, with the followers blocking
@@ -16,11 +19,10 @@
 // fingerprint, engine version), so a cached record can never be served
 // across a configuration or model change.
 //
-// Records are treated as immutable once stored; tiers share pointers.
+// Records are treated as immutable once stored.
 package store
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -37,7 +39,9 @@ const (
 	// TierNone: the record was computed by this call (a miss), or the
 	// lookup failed.
 	TierNone Tier = iota
+	// TierMemory: stored since the store was built.
 	TierMemory
+	// TierDisk: loaded from the journal file when it was opened.
 	TierDisk
 )
 
@@ -60,16 +64,15 @@ type Stats struct {
 	DedupCollapses uint64 `json:"dedup_collapses"`
 	Errors         uint64 `json:"errors"` // failed computes
 	InFlight       int    `json:"in_flight"`
-	MemEntries     int    `json:"mem_entries"`
-	MemCap         int    `json:"mem_cap"`
-	// Disk is the underlying journal's view (zero-valued when the store
-	// is memory-only).
+	MemEntries     int    `json:"mem_entries"` // records held, loaded and stored
+	// Disk is the journal file's view (zero-valued when the store is
+	// memory-only).
 	Disk journal.Stats `json:"disk"`
 }
 
 // Metrics renders the stats for one /metrics scrape: the five store.*
-// counters, the in-flight and memory-entry gauges, and the disk tier's
-// journal counts. Every key is present, zeros included.
+// counters, the in-flight and memory-entry gauges, and the journal
+// file's load counts. Every key is present, zeros included.
 func (st Stats) Metrics() *telemetry.Snapshot {
 	s := st.Disk.Metrics()
 	c := s.Counters
@@ -83,12 +86,6 @@ func (st Stats) Metrics() *telemetry.Snapshot {
 	return s
 }
 
-// DefaultMemCap is the memory tier's entry bound when the caller passes
-// a non-positive cap. Records are a few hundred bytes of counters each,
-// so the default keeps the hot set of a large campaign resident for
-// single-digit megabytes.
-const DefaultMemCap = 4096
-
 // flight is one in-progress compute; followers block on done.
 type flight struct {
 	done chan struct{}
@@ -99,117 +96,67 @@ type flight struct {
 	abandoned bool
 }
 
-// entry is one memory-tier record: the value of an LRU list element.
-type entry struct {
-	key string
-	rec *journal.Record
-}
-
-// Store is a tiered, deduplicating result store. Safe for concurrent use.
+// Store is a deduplicating result store over one journal index. Safe
+// for concurrent use.
 type Store struct {
-	mu      sync.Mutex
-	mem     map[string]*list.Element // each holds an *entry
-	lru     list.List                // most recently used first
-	memCap  int
-	disk    *journal.Journal // nil = memory-only
+	j *journal.Journal // the one index; file-less when memory-only
+
+	mu      sync.Mutex // guards flights and stats
 	flights map[string]*flight
 	stats   Stats
 }
 
-// New builds a store over an already-open journal (nil for memory-only).
-// memCap bounds the memory tier; non-positive selects DefaultMemCap.
-// The store owns the journal from here: Close closes it.
-func New(disk *journal.Journal, memCap int) *Store {
-	if memCap <= 0 {
-		memCap = DefaultMemCap
+// New builds a store over an already-open journal, or over a journal
+// with no file when j is nil (memory-only). The store owns the journal
+// from here: Close closes it.
+func New(j *journal.Journal) *Store {
+	if j == nil {
+		j = journal.New()
 	}
-	return &Store{
-		mem:     make(map[string]*list.Element),
-		memCap:  memCap,
-		disk:    disk,
-		flights: make(map[string]*flight),
-	}
+	return &Store{j: j, flights: make(map[string]*flight)}
 }
 
 // Open opens (or creates) the journal at path and builds a store over
 // it. An empty path yields a memory-only store — every restart is cold.
-func Open(path string, memCap int) (*Store, error) {
-	var disk *journal.Journal
-	if path != "" {
-		j, err := journal.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		disk = j
+func Open(path string) (*Store, error) {
+	if path == "" {
+		return New(nil), nil
 	}
-	return New(disk, memCap), nil
+	j, err := journal.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return New(j), nil
 }
 
-// insertLocked puts a record into the memory tier as its most recently
-// used entry, evicting the least recently used beyond the cap. Eviction
-// only demotes: the record stays on disk.
-func (s *Store) insertLocked(key string, rec *journal.Record) {
-	if e, ok := s.mem[key]; ok {
-		e.Value.(*entry).rec = rec
-		s.lru.MoveToFront(e)
-		return
+// lookupLocked reads key from the index and counts a hit by its
+// origin. Lock order is always store.mu -> the journal's index lock.
+func (s *Store) lookupLocked(key string) (*journal.Record, Tier, bool) {
+	rec, loaded, ok := s.j.Get(key)
+	switch {
+	case !ok:
+		return nil, TierNone, false
+	case loaded:
+		s.stats.DiskHits++
+		return rec, TierDisk, true
 	}
-	s.mem[key] = s.lru.PushFront(&entry{key, rec})
-	if s.lru.Len() > s.memCap {
-		delete(s.mem, s.lru.Remove(s.lru.Back()).(*entry).key)
-	}
+	s.stats.MemHits++
+	return rec, TierMemory, true
 }
 
-// lookupLocked walks the tiers for key. On a disk hit the record is
-// promoted into the memory tier.
-func (s *Store) lookupLocked(c journal.Cell, key string) (*journal.Record, Tier, bool) {
-	if e, ok := s.mem[key]; ok {
-		s.stats.MemHits++
-		s.lru.MoveToFront(e)
-		return e.Value.(*entry).rec, TierMemory, true
-	}
-	if s.disk != nil {
-		// Lock order is always store.mu -> journal.mu, never the reverse.
-		if rec, ok := s.disk.Lookup(c); ok {
-			s.stats.DiskHits++
-			s.insertLocked(key, rec)
-			return rec, TierDisk, true
-		}
-	}
-	return nil, TierNone, false
-}
-
-// Lookup returns the cell's record from the fastest tier holding it.
+// Lookup returns the cell's record and its tier, if the store holds it.
 func (s *Store) Lookup(c journal.Cell) (*journal.Record, Tier, bool) {
 	key := c.Key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lookupLocked(c, key)
+	return s.lookupLocked(key)
 }
 
-// Put stores a computed record in both tiers: the disk append (durable,
-// fsynced) happens first — outside the store lock, the journal has its
-// own — so the memory tier never holds a record the disk tier could
-// lose, and an fsync never stalls concurrent memory-tier hits. With no
-// disk tier the insert is memory-only.
-func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
-	key := c.Key()
-	if s.disk != nil {
-		if err := s.disk.Append(c, rec); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(key, rec)
-	return nil
-}
-
-// GetOrCompute serves the cell from the fastest tier that has it, or —
-// on a miss — runs compute exactly once however many callers ask
-// concurrently: one leader simulates while followers block on its
-// result (each counted as a dedup collapse). A successful compute is
-// durable (journal append + fsync) before anyone sees it; a failed one
+// GetOrCompute serves the cell from the index, or — on a miss — runs
+// compute exactly once however many callers ask concurrently: one
+// leader simulates while followers block on its result (each counted
+// as a dedup collapse). A successful compute is durable (journal append
+// + fsync, with a file) and indexed before anyone sees it; a failed one
 // is reported to every waiter and cached nowhere, so the next request
 // retries.
 //
@@ -222,10 +169,9 @@ func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
 func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(ctx context.Context) (*journal.Record, error)) (*journal.Record, Tier, error) {
 	key := c.Key()
 	s.mu.Lock()
-	// In-flight first: the leader's Put makes the record durable on disk
-	// before it reaches memory, and the flight stays registered until
-	// both tiers hold it, so a request landing in between joins the
-	// flight instead of reading the half-published record from disk.
+	// In-flight first: a flight stays registered until its record is
+	// durable and indexed, so a request landing in between joins the
+	// flight instead of reading a record its leader has not returned.
 	for {
 		f, ok := s.flights[key]
 		if !ok {
@@ -246,7 +192,7 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 		}
 		s.mu.Lock()
 	}
-	if rec, tier, ok := s.lookupLocked(c, key); ok {
+	if rec, tier, ok := s.lookupLocked(key); ok {
 		s.mu.Unlock()
 		return rec, tier, nil
 	}
@@ -258,7 +204,7 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 
 	rec, err := compute(ctx)
 	if err == nil {
-		if perr := s.Put(c, rec); perr != nil {
+		if perr := s.j.Append(c, rec); perr != nil {
 			// The cell simulated but its proof is not durable — the
 			// store's contract is "served results are reproducible from
 			// the journal", so this surfaces as a failure, not a success
@@ -279,26 +225,18 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	return rec, TierNone, err
 }
 
-// Stats snapshots the store's counters, including the disk tier's.
+// Stats snapshots the store's counters, the records held and the
+// journal file's counts.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
-	st.MemEntries = len(s.mem)
-	st.MemCap = s.memCap
-	if s.disk != nil {
-		st.Disk = s.disk.Stats()
-	}
+	s.mu.Unlock()
+	st.MemEntries = s.j.Len()
+	st.Disk = s.j.Stats()
 	return st
 }
 
-// Close releases the disk tier. In-memory lookups keep working; further
-// computes on a disk-backed store will fail their durable append.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.disk == nil {
-		return nil
-	}
-	return s.disk.Close()
-}
+// Close releases the journal's file; on a memory-only store it does
+// nothing. Lookups keep working; further computes on a disk-backed
+// store fail their durable append.
+func (s *Store) Close() error { return s.j.Close() }

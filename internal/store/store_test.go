@@ -40,9 +40,9 @@ func recN(n int) *journal.Record {
 	}}
 }
 
-func openStore(t *testing.T, path string, memCap int) *store.Store {
+func openStore(t *testing.T, path string) *store.Store {
 	t.Helper()
-	s, err := store.Open(path, memCap)
+	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,11 @@ func openStore(t *testing.T, path string, memCap int) *store.Store {
 
 // TestTiers walks one cell through the three tiers: computed on first
 // request, memory on the second, disk (after a cold restart) on the
-// third — with byte-identical records and digests throughout.
+// third and every later one — with byte-identical records and digests
+// throughout.
 func TestTiers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	s := openStore(t, path, 0)
+	s := openStore(t, path)
 	c := cellN(1)
 
 	computes := 0
@@ -75,14 +76,13 @@ func TestTiers(t *testing.T) {
 	if rec2.Digest() != rec1.Digest() {
 		t.Fatal("memory tier served a different record")
 	}
-	// The memory hit must not have touched the disk tier.
-	if st := s.Stats(); st.Disk.Hits != 0 {
-		t.Fatalf("memory hit consulted disk: %+v", st)
+	if st := s.Stats(); st.MemHits != 1 || st.DiskHits != 0 {
+		t.Fatalf("memory hit counted as %d memory + %d disk hits, want 1 + 0", st.MemHits, st.DiskHits)
 	}
 	s.Close()
 
 	// Cold restart: fresh store over the same journal path.
-	s2 := openStore(t, path, 0)
+	s2 := openStore(t, path)
 	rec3, tier, err := s2.GetOrCompute(context.Background(), c, compute)
 	if err != nil || tier != store.TierDisk || computes != 1 {
 		t.Fatalf("post-restart request: tier=%v err=%v computes=%d", tier, err, computes)
@@ -92,39 +92,64 @@ func TestTiers(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("disk tier record not byte-identical to the computed one")
 	}
-	// Promoted: the next request is a memory hit.
-	if _, tier, _ := s2.GetOrCompute(context.Background(), c, compute); tier != store.TierMemory {
-		t.Fatalf("disk hit not promoted to memory: tier=%v", tier)
+	// A tier is the record's origin: it was loaded at Open, so the next
+	// request is a disk hit too.
+	if _, tier, _ := s2.GetOrCompute(context.Background(), c, compute); tier != store.TierDisk {
+		t.Fatalf("second post-restart request: tier=%v, want disk", tier)
 	}
 }
 
-// TestLRUEviction pins the memory tier's eviction order: a hit makes a
-// record the most recently used, so the insert beyond the cap evicts the
-// least recently used one instead.
-func TestLRUEviction(t *testing.T) {
-	s := store.New(nil, 2)
-	a, b, c := cellN(1), cellN(2), cellN(3)
-	for _, n := range []int{1, 2} {
-		if err := s.Put(cellN(n), recN(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, tier, ok := s.Lookup(a); !ok || tier != store.TierMemory {
-		t.Fatalf("a before eviction: tier=%v ok=%v", tier, ok)
-	}
-	if err := s.Put(c, recN(3)); err != nil {
+// TestTierIsOrigin pins what a tier means over the one index: a record
+// loaded from the journal file is a disk hit on every lookup, and one
+// computed since is a memory hit on every lookup; MemEntries counts
+// both. A memory-only store serves its computed cells from memory, and
+// its Close does nothing.
+func TestTierIsOrigin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := journal.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Lookup(b); ok {
-		t.Error("b, the least recently used, survived the insert beyond the cap")
+	j.Fsync = false
+	if err := j.Append(cellN(1), recN(1)); err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range []journal.Cell{a, c} {
-		if _, tier, ok := s.Lookup(id); !ok || tier != store.TierMemory {
-			t.Errorf("%s after eviction: tier=%v ok=%v, want a memory hit", id.Workload, tier, ok)
+	j.Close()
+
+	compute := func(n int) func(context.Context) (*journal.Record, error) {
+		return func(context.Context) (*journal.Record, error) { return recN(n), nil }
+	}
+	s := openStore(t, path)
+	if _, tier, err := s.GetOrCompute(context.Background(), cellN(2), compute(2)); err != nil || tier != store.TierNone {
+		t.Fatalf("new cell: tier=%v err=%v, want a compute", tier, err)
+	}
+	for i := 0; i < 3; i++ {
+		for n, want := range map[int]store.Tier{1: store.TierDisk, 2: store.TierMemory} {
+			rec, tier, err := s.GetOrCompute(context.Background(), cellN(n), compute(-1))
+			if err != nil || tier != want || rec.Digest() != recN(n).Digest() {
+				t.Fatalf("lookup %d of cell %d: tier=%v err=%v, want %v", i, n, tier, err, want)
+			}
 		}
 	}
-	if st := s.Stats(); st.MemEntries != 2 {
-		t.Errorf("memory tier holds %d entries, want the cap of 2", st.MemEntries)
+	if st := s.Stats(); st.MemEntries != 2 || st.DiskHits != 3 || st.MemHits != 3 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 2 entries, 3 disk + 3 memory hits, 1 miss", st)
+	}
+
+	mem := store.New(nil)
+	if err := mem.Close(); err != nil {
+		t.Fatalf("memory-only Close: %v", err)
+	}
+	// Close did nothing: computes and lookups go on.
+	for n := 1; n <= 2; n++ {
+		if _, tier, err := mem.GetOrCompute(context.Background(), cellN(n), compute(n)); err != nil || tier != store.TierNone {
+			t.Fatalf("memory-only compute of cell %d: tier=%v err=%v", n, tier, err)
+		}
+		if _, tier, ok := mem.Lookup(cellN(n)); !ok || tier != store.TierMemory {
+			t.Fatalf("memory-only lookup of cell %d: tier=%v ok=%v, want memory", n, tier, ok)
+		}
+	}
+	if st := mem.Stats(); st.MemEntries != 2 || st.MemHits != 2 || st.DiskHits != 0 || st.Disk != (journal.Stats{}) {
+		t.Fatalf("memory-only stats = %+v, want 2 entries, 2 memory hits, no journal file counts", st)
 	}
 }
 
@@ -135,7 +160,7 @@ func TestLRUEviction(t *testing.T) {
 // the counts are exact, with no hits.
 func TestSingleflightExactlyOnce(t *testing.T) {
 	const keys, callers = 8, 12
-	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"))
 
 	var computes [keys]atomic.Int64
 	var wg sync.WaitGroup
@@ -185,15 +210,14 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestTortureOverlappingKeys is the -race workhorse: parallel Lookup,
-// Put, and singleflight misses over an overlapping key space, with a
-// memory tier small enough to churn evictions throughout. Afterwards:
+// TestTortureOverlappingKeys is the -race workhorse: parallel Lookup
+// and singleflight misses over an overlapping key space. Afterwards:
 // exactly one compute per key ever ran, and a cold reopen serves every
 // key byte-identically from disk.
 func TestTortureOverlappingKeys(t *testing.T) {
 	const keys, workers, opsPerWorker = 16, 8, 200
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	s := openStore(t, path, 4) // far below the key count: constant eviction
+	s := openStore(t, path)
 
 	var computes [keys]atomic.Int64
 	var wg sync.WaitGroup
@@ -230,18 +254,14 @@ func TestTortureOverlappingKeys(t *testing.T) {
 			t.Errorf("key %d simulated %d times, want exactly once", k, n)
 		}
 	}
-	st := s.Stats()
-	if st.MemEntries > 4 {
-		t.Errorf("memory tier holds %d entries over cap 4", st.MemEntries)
-	}
-	if st.Errors != 0 {
+	if st := s.Stats(); st.Errors != 0 {
 		t.Errorf("%d compute errors during torture", st.Errors)
 	}
 	s.Close()
 
 	// Byte-identical across tiers: a cold store must serve every key from
 	// disk with the exact bytes the computes produced.
-	s2 := openStore(t, path, 0)
+	s2 := openStore(t, path)
 	for k := 0; k < keys; k++ {
 		rec, tier, ok := s2.Lookup(cellN(k))
 		if !ok || tier != store.TierDisk {
@@ -255,18 +275,17 @@ func TestTortureOverlappingKeys(t *testing.T) {
 	}
 }
 
-// TestDurableBeforeMemoryIsDedup holds a leader between the durable
-// journal append and the memory-tier insert (the compute appends the
-// record itself, exactly as Put's first step would) and sends an
+// TestDurableBeforeMemoryIsDedup holds a leader after its record is
+// durable and indexed but before its flight ends (the compute appends
+// the record itself, as the leader's own append would) and sends an
 // identical request into that window. The request must join the flight
-// as a dedup collapse: the record is on disk, but the leader has not
-// published it yet, so a disk hit would misreport the tier.
+// as a dedup collapse, not hit a record its leader has not returned.
 func TestDurableBeforeMemoryIsDedup(t *testing.T) {
 	j, err := journal.Open(filepath.Join(t.TempDir(), "cells.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.New(j, 0)
+	s := store.New(j)
 	t.Cleanup(func() { s.Close() })
 	c := cellN(1)
 
@@ -327,7 +346,7 @@ func TestDurableBeforeMemoryIsDedup(t *testing.T) {
 // waiter and is cached nowhere — the next request retries and can
 // succeed.
 func TestComputeErrorNotCached(t *testing.T) {
-	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"))
 	boom := errors.New("supply collapsed")
 	_, _, err := s.GetOrCompute(context.Background(), cellN(1),
 		func(context.Context) (*journal.Record, error) { return nil, boom })
@@ -348,7 +367,7 @@ func TestComputeErrorNotCached(t *testing.T) {
 // with ctx.Err() while the leader's compute finishes and lands in the
 // store.
 func TestFollowerCancellation(t *testing.T) {
-	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"))
 	inCompute := make(chan struct{})
 	release := make(chan struct{})
 
@@ -401,7 +420,7 @@ func TestFollowerCancellation(t *testing.T) {
 // context.Canceled — that would surface as a 500 to a client that did
 // nothing wrong. It retries and leads a fresh flight instead.
 func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
-	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"))
 	inCompute := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
@@ -483,7 +502,7 @@ func TestTailErrorPropagates(t *testing.T) {
 	}
 	f.Close()
 
-	s, err := store.Open(path, 0)
+	s, err := store.Open(path)
 	if err != nil {
 		t.Fatalf("tolerant open must survive an unreadable tail: %v", err)
 	}

@@ -3,8 +3,9 @@
 # store, replay a mixed workload through sweepctl (concurrent identical
 # and distinct requests via the load generator), then restart the daemon
 # over the same store and require the cell to come back from the disk
-# tier with the digest it had when it was first simulated. CI runs this
-# on every push.
+# tier with the digest it had when it was first simulated, on every
+# request: a tier names the record's origin, and the journal proved this
+# one before the daemon started. CI runs this on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,6 +89,16 @@ if [ "$cold_tier" != "disk" ]; then
 fi
 if [ "$cold_digest" != "$digest" ]; then
     echo "FAIL: digest drifted across restart: $digest -> $cold_digest" >&2
+    exit 1
+fi
+
+echo "== repeat after restart: still the disk tier"
+ctl cell -workload sha -scheme Sweep-EmptyBit -profile RFHome >"$workdir/again.json"
+again_tier=$(field "$workdir/again.json" tier)
+again_digest=$(field "$workdir/again.json" digest)
+if [ "$again_tier" != "disk" ] || [ "$again_digest" != "$digest" ]; then
+    echo "FAIL: repeat after restart served from tier '$again_tier' (want disk), digest $again_digest" >&2
+    cat "$workdir/again.json" >&2
     exit 1
 fi
 stop_daemon
