@@ -83,12 +83,21 @@ func (c Cell) Key() string {
 // reaches every journal, store and service response with no edit here.
 //
 // Records are immutable once built: readers copy the embedded Result
-// and never write through a record.
+// and never write through a record. That is what lets a record compute
+// its digest once, at its first Digest call, and keep it: Open and
+// Append both call Digest, so every record a durable journal indexes
+// carries its digest before it is first served. A Record must not be
+// copied by value (it holds a sync.Once).
 type Record struct {
 	sim.Result
 	// NVMHash is the hex SHA-256 of the final NVM image ("" when the
 	// result carried no image).
 	NVMHash string `json:"nvm_hash,omitempty"`
+
+	// digestOnce guards digest, which the first Digest call fills.
+	// Unexported fields are not encoded, so the format is unchanged.
+	digestOnce sync.Once
+	digest     string
 }
 
 // FromResult converts a simulation result into its durable record. The
@@ -107,15 +116,23 @@ func FromResult(r *sim.Result) *Record {
 // Because float64 JSON round-trips exactly, a record written, reloaded,
 // and re-digested hashes identically — the property the kill/resume
 // invariant tests pin.
+//
+// The digest is computed once per record, at the first call, and the
+// stored value is returned after that; concurrent first calls are safe.
+// A record decoded from JSON starts with none, so checking a received
+// record against a claimed digest hashes what was received.
 func (rec *Record) Digest() string {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		// Record holds only finite numbers and plain structs; Marshal
-		// cannot fail on a value FromResult built.
-		panic("journal: marshal record: " + err.Error())
-	}
-	h := sha256.Sum256(raw)
-	return hex.EncodeToString(h[:])
+	rec.digestOnce.Do(func() {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			// Record holds only finite numbers and plain structs; Marshal
+			// cannot fail on a value FromResult built.
+			panic("journal: marshal record: " + err.Error())
+		}
+		h := sha256.Sum256(raw)
+		rec.digest = hex.EncodeToString(h[:])
+	})
+	return rec.digest
 }
 
 // line is one journal line on disk.

@@ -2,6 +2,8 @@ package journal_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -100,6 +102,75 @@ func TestRecordRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestDigestComputedOnce pins the stored digest. Concurrent first calls
+// all return the hash of the record's JSON, later calls return it without
+// encoding again, and a record a reopened journal serves carries the
+// digest its line claims.
+func TestDigestComputedOnce(t *testing.T) {
+	rec := journal.FromResult(result(t))
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	want := hex.EncodeToString(sum[:])
+
+	got := make([]string, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = rec.Digest()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, d := range got {
+		if d != want {
+			t.Errorf("goroutine %d: digest %s, want sha256 of the record's JSON %s", i, d, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { rec.Digest() }); allocs != 0 {
+		t.Errorf("a repeated Digest allocates %.0f times: it is encoding the record again", allocs)
+	}
+
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Fsync = false
+	if err := j.Append(testCell("sha"), rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l struct {
+		Digest string `json:"digest"`
+	}
+	if err := json.Unmarshal(data, &l); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	served, ok := j2.Lookup(testCell("sha"))
+	if !ok {
+		t.Fatal("reopened journal misses the cell")
+	}
+	if d := served.Digest(); d != l.Digest || d != want {
+		t.Errorf("reopened journal serves digest %s, its line claims %s, want %s", d, l.Digest, want)
+	}
+}
+
 // TestRecordFormatGolden pins the durable format, which the struct tags
 // on sim.Result and arch.Stats define. testdata/record_v1.jsonl is one
 // journal line (sha on Sweep-EmptyBit under RF-Home: outages, region and
@@ -125,7 +196,7 @@ func TestRecordFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.RegionSizes == nil || rec.Arch.StoresPerRegion == nil || rec.NVMHash == "" || rec.Outages == 0 {
-		t.Fatalf("golden record lost a field on decode: %+v", rec)
+		t.Fatalf("golden record lost a field on decode: %+v", &rec)
 	}
 	raw, err := json.Marshal(&rec)
 	if err != nil {

@@ -137,16 +137,22 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
+// errBodyTooLarge marks a response body longer than maxBodyBytes. The
+// client decodes no truncated body, and the same request would get the
+// same response, so it is never retried.
+var errBodyTooLarge = fmt.Errorf("response body over the %d MiB limit (split large batches)", maxBodyBytes>>20)
+
 // retryable reports whether an attempt's failure is worth retrying: a
 // transient status (502/503/504) or a transport-level error. Context
 // cancellation and deadlines are the caller saying stop — never
-// retried.
+// retried, and neither is an oversized response.
 func retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return retryableStatus(se.Status)
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, errBodyTooLarge) {
 		return false
 	}
 	// Everything else that escapes once() is connection-level (dial
@@ -208,9 +214,13 @@ func (c *Client) once(ctx context.Context, method, path string, raw []byte, out 
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	// One byte past the limit tells a full body from a truncated one.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
 		return fmt.Errorf("client: read %s: %w", path, err)
+	}
+	if len(data) > maxBodyBytes {
+		return fmt.Errorf("client: %s %s: %w", method, path, errBodyTooLarge)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg := strings.TrimSpace(string(data))

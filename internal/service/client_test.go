@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -127,5 +128,27 @@ func TestClientRetriesConnError(t *testing.T) {
 	}
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("conn-refused retries took %v — backoff or dial timeout broken", el)
+	}
+}
+
+// TestClientBodyTooLarge: a response one byte over the body limit (a
+// batch of more than about 4,000 records) fails once, with an error that
+// names the limit, instead of being decoded truncated and sent again.
+func TestClientBodyTooLarge(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte(" "), 8<<20+1))
+	}))
+	t.Cleanup(ts.Close)
+	cl := service.NewClient(ts.URL)
+	cl.Retry = fastRetry()
+	_, err := cl.Cells(context.Background(), []service.CellRequest{testReq})
+	if err == nil || !strings.Contains(err.Error(), "8 MiB limit") {
+		t.Fatalf("err = %v, want one naming the 8 MiB limit", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1 (an oversized response is not retried)", got)
 	}
 }

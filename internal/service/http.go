@@ -21,8 +21,9 @@ import (
 // (Prometheus, including the store's tier counters), /progress
 // (simulating cells) — mounted at the root.
 
-// maxBodyBytes bounds request bodies; a cell request is a few hundred
-// bytes, a large batch a few hundred kilobytes.
+// maxBodyBytes bounds request bodies, and the response bodies Client
+// reads; a cell request is a few hundred bytes, a cell response about
+// 2 KB, so a batch of more than about 4,000 cells must be split.
 const maxBodyBytes = 8 << 20
 
 // Handler returns the service mux.

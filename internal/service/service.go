@@ -130,6 +130,10 @@ type Service struct {
 	// draining refuses new leases once shutdown has begun (StartDrain).
 	draining atomic.Bool
 
+	// defaultFP is Table 1's params fingerprint, computed once: the key
+	// of every request that carries no params.
+	defaultFP string
+
 	// The service's counters, read by Stats and MetricsSnapshot while
 	// requests run: every Cell call, the bad ones among them, failed
 	// ones, leases served, and cells that crossed QuarantineThreshold.
@@ -169,6 +173,7 @@ func New(cfg Config) (*Service, error) {
 		cellTimeout: cfg.CellTimeout,
 		sem:         sem,
 		workerID:    obs.NewRunID(),
+		defaultFP:   config.Default().Fingerprint(),
 		failStreaks: map[string]int{},
 		quarantined: map[string]string{},
 	}
@@ -188,6 +193,7 @@ type cellSpec struct {
 	kind     arch.Kind
 	profile  *trace.Profile
 	ec       *exp.Context
+	paramsFP string // ec.Params.Fingerprint()
 }
 
 // parse validates a request into a runnable spec. All failures are
@@ -208,13 +214,16 @@ func (s *Service) parse(req CellRequest) (*cellSpec, error) {
 		}
 		profile = &p
 	}
-	params := config.Default()
+	// A request with a params field, even {}, fingerprints its own merged
+	// set: comparing it with Table 1 by == would merge keys that differ
+	// (-0.0 == 0, but the two render differently).
+	params, fp := config.Default(), s.defaultFP
 	if len(req.Params) > 0 {
 		p, err := config.FromJSON(req.Params)
 		if err != nil {
 			return nil, badRequest("bad params: %v", err)
 		}
-		params = p
+		params, fp = p, p.Fingerprint()
 	}
 	scale := req.Scale
 	if scale == 0 {
@@ -243,7 +252,7 @@ func (s *Service) parse(req CellRequest) (*cellSpec, error) {
 	if _, err := workloads.ByName(req.Workload); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	return &cellSpec{workload: req.Workload, kind: kind, profile: profile, ec: ec}, nil
+	return &cellSpec{workload: req.Workload, kind: kind, profile: profile, ec: ec, paramsFP: fp}, nil
 }
 
 // Cell serves one cell: fastest tier first, simulate on miss, dedup
@@ -255,7 +264,7 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 		s.badRequests.Add(1)
 		return nil, err
 	}
-	id := spec.ec.CellID(spec.workload, spec.kind, spec.profile, spec.ec.Seed, spec.ec.Params.Fingerprint())
+	id := spec.ec.CellID(spec.workload, spec.kind, spec.profile, spec.ec.Seed, spec.paramsFP)
 	start := time.Now()
 	rec, tier, err := s.store.GetOrCompute(ctx, id, func(ctx context.Context) (*journal.Record, error) {
 		return s.simulate(ctx, spec, id)

@@ -2,8 +2,10 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"maps"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
@@ -154,6 +156,50 @@ func TestServiceValidation(t *testing.T) {
 		if _, err := cl.Cell(context.Background(), req); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("%s: err = %v, want a 400", name, err)
 		}
+	}
+}
+
+// TestServiceParamsKeys: the request docs/SERVICE.md shows, with Table 2's
+// 100 nF capacitor, is accepted and keyed apart from the Table 1 cell. A
+// params field, even an empty one, is fingerprinted as sent: {} keys
+// exactly as no params does, and a -0 that == would take for Table 1's
+// 0 keys apart from it.
+func TestServiceParamsKeys(t *testing.T) {
+	_, ts, cl := startService(t, "")
+	ctx := context.Background()
+	def, err := cl.Cell(ctx, testReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(
+		`{"workload":"sha","scheme":"Sweep-EmptyBit","profile":"RFHome","seed":1,"scale":1,"params":{"CapacitorF":100e-9}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var small service.CellResponse
+	if err := json.NewDecoder(resp.Body).Decode(&small); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("documented request: status %d, decode err %v", resp.StatusCode, err)
+	}
+	if small.Key == def.Key || small.Cell.ParamsFP == def.Cell.ParamsFP {
+		t.Fatalf("a 100 nF request shares the Table 1 cell's key %s", def.Key)
+	}
+	empty := testReq
+	empty.Params = json.RawMessage(`{}`)
+	got, err := cl.Cell(ctx, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Key != def.Key || got.Tier != "memory" {
+		t.Fatalf(`"params": {} keyed %s (tier %s), want the Table 1 cell's %s from memory`, got.Key, got.Tier, def.Key)
+	}
+	negZero := testReq
+	negZero.Params = json.RawMessage(`{"SweepVmin": -0}`)
+	if got, err = cl.Cell(ctx, negZero); err != nil {
+		t.Fatal(err)
+	}
+	if got.Key == def.Key {
+		t.Fatalf(`"params": {"SweepVmin": -0} shares the Table 1 cell's key %s`, def.Key)
 	}
 }
 

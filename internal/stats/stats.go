@@ -4,8 +4,11 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Hist is a histogram over small non-negative integers.
@@ -14,6 +17,113 @@ type Hist struct {
 	Overflow uint64   // samples >= len(Buckets)
 	N        uint64
 	Sum      float64
+}
+
+// plainHist is Hist without its methods, so encoding/json decodes it by
+// reflection: the decoder Hist.UnmarshalJSON falls back to.
+type plainHist Hist
+
+// UnmarshalJSON decodes a Hist. It parses the layout encoding/json writes
+// for one, {"Buckets":[…] or null,"Overflow":n,"N":n,"Sum":f}, directly:
+// decoding a record's two dense histograms by reflection was most of the
+// cost of decoding the record. Any other input goes to encoding/json, so
+// accepted inputs, decoded values and errors are encoding/json's own.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	if d, ok := parseHist(data); ok {
+		*h = d
+		return nil
+	}
+	return json.Unmarshal(data, (*plainHist)(h))
+}
+
+// parseHist parses data if it is exactly encoding/json's encoding of a
+// Hist, and reports false for anything else.
+func parseHist(data []byte) (h Hist, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"Buckets":`))
+	if !ok {
+		return h, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte("null")); !ok {
+		if h.Buckets, rest, ok = parseBuckets(rest); !ok {
+			return h, false
+		}
+	}
+	if h.Overflow, rest, ok = parseField(rest, `,"Overflow":`); !ok {
+		return h, false
+	}
+	if h.N, rest, ok = parseField(rest, `,"N":`); !ok {
+		return h, false
+	}
+	// Sum is the rest up to the closing brace. A valid JSON value that
+	// ParseFloat accepts is a JSON number, which ParseFloat reads exactly
+	// as encoding/json does.
+	rest, ok = bytes.CutPrefix(rest, []byte(`,"Sum":`))
+	sum, closed := bytes.CutSuffix(rest, []byte("}"))
+	if !ok || !closed || !json.Valid(sum) {
+		return h, false
+	}
+	var err error
+	if h.Sum, err = strconv.ParseFloat(string(sum), 64); err != nil {
+		return h, false
+	}
+	return h, true
+}
+
+// parseBuckets parses the JSON array of unsigned integers at the start of
+// b and returns it with the rest of b. "[]" is an empty, non-nil slice,
+// as encoding/json decodes it.
+func parseBuckets(b []byte) (buckets []uint64, rest []byte, ok bool) {
+	list, ok := bytes.CutPrefix(b, []byte("["))
+	end := bytes.IndexByte(list, ']')
+	if !ok || end < 0 {
+		return nil, b, false
+	}
+	list, rest = list[:end], list[end+1:]
+	buckets = make([]uint64, 0, bytes.Count(list, []byte(","))+1)
+	for len(list) > 0 {
+		v, n, ok := parseUint(list)
+		if !ok {
+			return nil, b, false
+		}
+		buckets, list = append(buckets, v), list[n:]
+		if len(list) > 0 {
+			// A separator must lead to another element: "[1,]" fails.
+			if list[0] != ',' || len(list) == 1 {
+				return nil, b, false
+			}
+			list = list[1:]
+		}
+	}
+	return buckets, rest, true
+}
+
+// parseField parses key, then the JSON unsigned integer after it.
+func parseField(b []byte, key string) (v uint64, rest []byte, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte(key)); !ok {
+		return 0, nil, false
+	}
+	v, n, ok := parseUint(b)
+	return v, b[n:], ok
+}
+
+// parseUint parses the JSON unsigned integer at the start of b and
+// returns its length; it fails past uint64. A leading 0 ends the number,
+// so "01" fails at the caller's delimiter check.
+func parseUint(b []byte) (v uint64, n int, ok bool) {
+	if len(b) == 0 || b[0] < '0' || b[0] > '9' {
+		return 0, 0, false
+	}
+	if b[0] == '0' {
+		return 0, 1, true
+	}
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		d := uint64(b[n] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, 0, false
+		}
+		v = v*10 + d
+	}
+	return v, n, true
 }
 
 // NewHist returns a histogram covering values [0, max].
