@@ -15,6 +15,13 @@
 // is functional: power failure genuinely destroys volatile contents, and
 // recovery genuinely reconstructs them, so crash consistency is checked,
 // not assumed.
+//
+// Every scheme embeds base, which is NVP's machine plus the cache: the
+// scheme's identity, the JIT register checkpoint (Boot, Backup, Restore),
+// a power failure that loses the cache, and a Finalize that drains its
+// dirty lines. A scheme overrides only what it changes: its memory paths,
+// and for the write-back schemes the extra state their recovery protocol
+// saves or replays.
 package arch
 
 import (
@@ -95,22 +102,38 @@ type Stats struct {
 // engine attached a tracer — emitting on a nil tracer is a no-op, so the
 // schemes' event sites cost one branch when telemetry is off.
 type base struct {
-	p   config.Params
-	nvm *mem.NVM
-	led *energy.Ledger
-	st  Stats
-	tr  *telemetry.Tracer
+	kind Kind
+	p    config.Params
+	nvm  *mem.NVM
+	led  *energy.Ledger
+	st   Stats
+	tr   *telemetry.Tracer
+	// c is the L1D model; nil for the cache-free NVP.
+	c *cache.Cache
+
+	// The JIT register checkpoint, held in NVFF.
+	snapRegs cpu.Regs
+	snapPC   int64
 }
 
-func newBase(p config.Params) base {
-	return base{
-		p:   p,
-		nvm: mem.New(p.NVMSize),
-		led: &energy.Ledger{},
-		st:  Stats{StoresPerRegion: stats.NewHist(p.StoreThreshold + 1)},
+func newBase(kind Kind, p config.Params) base {
+	b := base{
+		kind: kind,
+		p:    p,
+		nvm:  mem.New(p.NVMSize),
+		led:  &energy.Ledger{},
+		st:   Stats{StoresPerRegion: stats.NewHist(p.StoreThreshold + 1)},
 	}
+	if kind != NVP {
+		b.c = cache.New(p.CacheSize, p.CacheWays)
+	}
+	return b
 }
 
+func (b *base) Name() string           { return b.kind.String() }
+func (b *base) Kind() Kind             { return b.kind }
+func (b *base) JIT() bool              { return true }
+func (b *base) Cache() *cache.Cache    { return b.c }
 func (b *base) NVM() *mem.NVM          { return b.nvm }
 func (b *base) Ledger() *energy.Ledger { return b.led }
 func (b *base) Stats() *Stats          { return &b.st }
@@ -136,15 +159,65 @@ func (b *base) Fence(now int64) cpu.Cost {
 }
 func (b *base) ContinuesAfterBackup() bool { return false }
 func (b *base) NeedsBackup() bool          { return false }
-func (b *base) Boot(entryPC int64)         {}
-func (b *base) Finalize()                  {}
 
-// flushDirty writes every dirty line of c to NVM uncounted; the shared
-// Finalize implementation for write-back schemes.
-func flushDirty(c *cache.Cache, b *base) {
-	for _, slot := range c.DirtySlots(nil) {
-		b.nvm.PokeLine(c.Tag(slot), c.Data(slot))
-		c.ClearDirty(slot)
+// Boot primes the JIT snapshot with the program entry so a failure before
+// the first backup restarts from the beginning.
+func (b *base) Boot(entryPC int64) {
+	b.snapPC = entryPC
+	b.snapRegs = cpu.Regs{}
+}
+
+// Backup checkpoints the register file and PC.
+func (b *base) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
+	b.snapRegs = *regs
+	b.snapPC = pc
+	b.led.Backup += b.p.EBackupFixed
+	b.st.BackupEvents++
+	return cpu.Cost{Ns: b.p.BackupTimeNs}
+}
+
+// PowerFail loses the volatile cache, if there is one.
+func (b *base) PowerFail(now int64) {
+	if b.c != nil {
+		b.c.Invalidate()
+	}
+}
+
+// Restore reloads the register file and returns the checkpointed PC.
+func (b *base) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
+	*regs = b.snapRegs
+	b.led.Restore += b.p.ERestoreFixed
+	b.st.RestoreEvents++
+	return b.snapPC, cpu.Cost{Ns: b.p.RestoreTimeNs}
+}
+
+// Finalize writes every dirty line to NVM uncounted.
+func (b *base) Finalize() {
+	if b.c == nil {
+		return
+	}
+	for _, slot := range b.c.DirtySlots(nil) {
+		b.nvm.PokeLine(b.c.Tag(slot), b.c.Data(slot))
+		b.c.ClearDirty(slot)
+	}
+}
+
+// read returns the word (or zero-extended byte) at addr from the line
+// resident in slot.
+func (b *base) read(slot int, addr int64, byteWide bool) int64 {
+	if byteWide {
+		return int64(b.c.ByteAt(slot, addr))
+	}
+	return b.c.ReadWord(slot, addr)
+}
+
+// write stores the word (or the low byte of val) at addr into the line
+// resident in slot; the caller marks dirtiness per its policy.
+func (b *base) write(slot int, addr int64, val int64, byteWide bool) {
+	if byteWide {
+		b.c.SetByte(slot, addr, byte(val))
+	} else {
+		b.c.WriteWord(slot, addr, val)
 	}
 }
 
@@ -197,19 +270,15 @@ type Scheme interface {
 func New(kind Kind, p config.Params) Scheme {
 	switch kind {
 	case NVP:
-		return newNVP(p.WithNVPThresholds())
+		return &nvp{newBase(kind, p.WithNVPThresholds())}
 	case WTVCache:
-		return newWT(p.WithNVPThresholds())
-	case NVSRAM:
-		return newNVSRAM(p.WithNVSRAMThresholds(), false)
-	case NVSRAME:
-		return newNVSRAM(p.WithNVSRAMThresholds(), true)
+		return &wt{newBase(kind, p.WithNVPThresholds())}
+	case NVSRAM, NVSRAME:
+		return newNVSRAM(kind, p.WithNVSRAMThresholds())
 	case ReplayCache:
-		return newReplay(p.WithNVPThresholds())
-	case SweepNVMSearch:
-		return newSweep(p.WithSweepThresholds(), false)
-	case SweepEmptyBit:
-		return newSweep(p.WithSweepThresholds(), true)
+		return &replay{base: newBase(kind, p.WithNVPThresholds())}
+	case SweepNVMSearch, SweepEmptyBit:
+		return newSweep(kind, p.WithSweepThresholds())
 	case NvMR:
 		return newNvMR(p.WithNVPThresholds())
 	}

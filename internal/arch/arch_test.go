@@ -18,8 +18,8 @@ func TestKindsAndConstruction(t *testing.T) {
 		if s.Kind() != k {
 			t.Errorf("%v: Kind() = %v", k, s.Kind())
 		}
-		if s.Name() == "" {
-			t.Errorf("%v: empty name", k)
+		if s.Name() != k.String() {
+			t.Errorf("%v: Name() = %q", k, s.Name())
 		}
 		if (s.Cache() == nil) != (k == NVP) {
 			t.Errorf("%v: cache presence", k)
@@ -97,7 +97,9 @@ func TestWTStoreWritesThrough(t *testing.T) {
 	}
 }
 
-// TestJITBackupRestoreRoundTrip: registers and PC survive an outage.
+// TestJITBackupRestoreRoundTrip: registers and PC survive an outage, and
+// an outage before the first backup restarts the program from its entry
+// with a zeroed register file.
 func TestJITBackupRestoreRoundTrip(t *testing.T) {
 	for _, k := range []Kind{NVP, WTVCache, NVSRAM, NVSRAME, ReplayCache, NvMR} {
 		s := New(k, params())
@@ -112,6 +114,16 @@ func TestJITBackupRestoreRoundTrip(t *testing.T) {
 		pc, _ := s.Restore(300, &got)
 		if pc != 42 || got != regs {
 			t.Errorf("%v: restore pc=%d regs ok=%v", k, pc, got == regs)
+		}
+
+		// No backup since Boot: the entry point and zeroed registers.
+		s = New(k, params())
+		s.Boot(17)
+		s.Store(0, 4096, 1, false)
+		s.PowerFail(200)
+		got = regs
+		if pc, _ := s.Restore(300, &got); pc != 17 || got != (cpu.Regs{}) {
+			t.Errorf("%v: restore before any backup: pc=%d regs=%v", k, pc, got)
 		}
 	}
 }

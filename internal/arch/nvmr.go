@@ -16,32 +16,21 @@ import (
 // fill up, NvMR must take another backup.
 type nvmr struct {
 	base
-	c *cache.Cache
 
 	// overlay holds renamed post-backup line writes; loads snoop it.
 	overlay map[int64]*[mem.LineSize]byte
 
-	snapRegs cpu.Regs
-	snapPC   int64
-	needBk   bool
+	needBk bool
 
 	// dirtyScratch is reused by Backup's dirty-line enumeration.
 	dirtyScratch []int
 }
 
 func newNvMR(p config.Params) *nvmr {
-	return &nvmr{
-		base:    newBase(p),
-		c:       cache.New(p.CacheSize, p.CacheWays),
-		overlay: map[int64]*[mem.LineSize]byte{},
-	}
+	return &nvmr{base: newBase(NvMR, p), overlay: map[int64]*[mem.LineSize]byte{}}
 }
 
-func (s *nvmr) Name() string               { return "NvMR" }
-func (s *nvmr) Kind() Kind                 { return NvMR }
-func (s *nvmr) JIT() bool                  { return true }
 func (s *nvmr) ContinuesAfterBackup() bool { return true }
-func (s *nvmr) Cache() *cache.Cache        { return s.c }
 
 // NeedsBackup reports that the rename table is full and a commit backup is
 // required before more speculative writebacks can rename.
@@ -86,19 +75,12 @@ func (s *nvmr) access(now int64, addr int64) (int, cpu.Cost) {
 
 func (s *nvmr) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		return int64(s.c.ByteAt(slot, addr)), cost
-	}
-	return s.c.ReadWord(slot, addr), cost
+	return s.read(slot, addr, byteWide), cost
 }
 
 func (s *nvmr) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		s.c.SetByte(slot, addr, byte(val))
-	} else {
-		s.c.WriteWord(slot, addr, val)
-	}
+	s.write(slot, addr, val, byteWide)
 	s.c.MarkDirty(slot)
 	return cost
 }
@@ -140,25 +122,11 @@ func (s *nvmr) PowerFail(now int64) {
 	s.needBk = false
 }
 
-func (s *nvmr) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
-	*regs = s.snapRegs
-	s.led.Restore += s.p.ERestoreFixed
-	s.st.RestoreEvents++
-	return s.snapPC, cpu.Cost{Ns: s.p.RestoreTimeNs}
-}
-
-// Boot primes the JIT snapshot with the program entry so a failure before
-// the first backup restarts from the beginning.
-func (s *nvmr) Boot(entryPC int64) {
-	s.snapPC = entryPC
-	s.snapRegs = cpu.Regs{}
-}
-
 // Finalize commits the speculative overlay and dirty lines.
 func (s *nvmr) Finalize() {
 	for addr, data := range s.overlay {
 		s.nvm.PokeLine(addr, data)
 		delete(s.overlay, addr)
 	}
-	flushDirty(s.c, &s.base)
+	s.base.Finalize()
 }

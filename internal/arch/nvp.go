@@ -1,25 +1,10 @@
 package arch
 
-import (
-	"repro/internal/cache"
-	"repro/internal/config"
-	"repro/internal/cpu"
-)
+import "repro/internal/cpu"
 
 // nvp is the cache-free baseline (Figure 1a): every fetch and data access
 // goes to NVM; a voltage monitor JIT-checkpoints the register file to NVFF.
-type nvp struct {
-	base
-	snapRegs cpu.Regs
-	snapPC   int64
-}
-
-func newNVP(p config.Params) *nvp { return &nvp{base: newBase(p)} }
-
-func (s *nvp) Name() string        { return "NVP" }
-func (s *nvp) Kind() Kind          { return NVP }
-func (s *nvp) JIT() bool           { return true }
-func (s *nvp) Cache() *cache.Cache { return nil }
+type nvp struct{ base }
 
 func (s *nvp) Fetch(now int64) cpu.Cost {
 	s.led.NVM += s.p.ENVMRead
@@ -47,28 +32,4 @@ func (s *nvp) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 		s.nvm.WriteWord(addr, val)
 	}
 	return cpu.Cost{Ns: s.p.NVMWriteNs}
-}
-
-func (s *nvp) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
-	s.snapRegs = *regs
-	s.snapPC = pc
-	s.led.Backup += s.p.EBackupFixed
-	s.st.BackupEvents++
-	return cpu.Cost{Ns: s.p.BackupTimeNs}
-}
-
-func (s *nvp) PowerFail(now int64) {}
-
-func (s *nvp) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
-	*regs = s.snapRegs
-	s.led.Restore += s.p.ERestoreFixed
-	s.st.RestoreEvents++
-	return s.snapPC, cpu.Cost{Ns: s.p.RestoreTimeNs}
-}
-
-// Boot primes the JIT snapshot with the program entry so a failure before
-// the first backup restarts from the beginning.
-func (s *nvp) Boot(entryPC int64) {
-	s.snapPC = entryPC
-	s.snapRegs = cpu.Regs{}
 }

@@ -14,11 +14,8 @@ import (
 // cache survives outages warm.
 type nvsram struct {
 	base
-	c      *cache.Cache
 	entire bool // NVSRAM-E: back up every valid line
 
-	snapRegs  cpu.Regs
-	snapPC    int64
 	snapLines []savedLine
 
 	// slotScratch is reused by Backup's line enumeration.
@@ -31,26 +28,9 @@ type savedLine struct {
 	data  [mem.LineSize]byte
 }
 
-func newNVSRAM(p config.Params, entire bool) *nvsram {
-	return &nvsram{base: newBase(p), c: cache.New(p.CacheSize, p.CacheWays), entire: entire}
+func newNVSRAM(kind Kind, p config.Params) *nvsram {
+	return &nvsram{base: newBase(kind, p), entire: kind == NVSRAME}
 }
-
-func (s *nvsram) Name() string {
-	if s.entire {
-		return "NVSRAM-E"
-	}
-	return "NVSRAM"
-}
-
-func (s *nvsram) Kind() Kind {
-	if s.entire {
-		return NVSRAME
-	}
-	return NVSRAM
-}
-
-func (s *nvsram) JIT() bool           { return true }
-func (s *nvsram) Cache() *cache.Cache { return s.c }
 
 // access is the shared write-back, write-allocate path.
 func (s *nvsram) access(now int64, addr int64) (int, cpu.Cost) {
@@ -77,19 +57,12 @@ func (s *nvsram) access(now int64, addr int64) (int, cpu.Cost) {
 
 func (s *nvsram) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		return int64(s.c.ByteAt(slot, addr)), cost
-	}
-	return s.c.ReadWord(slot, addr), cost
+	return s.read(slot, addr, byteWide), cost
 }
 
 func (s *nvsram) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		s.c.SetByte(slot, addr, byte(val))
-	} else {
-		s.c.WriteWord(slot, addr, val)
-	}
+	s.write(slot, addr, val, byteWide)
 	s.c.MarkDirty(slot)
 	return cost
 }
@@ -115,8 +88,6 @@ func (s *nvsram) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
 	return cpu.Cost{Ns: s.p.BackupTimeNs + n*s.p.BackupPerLineNs}
 }
 
-func (s *nvsram) PowerFail(now int64) { s.c.Invalidate() }
-
 func (s *nvsram) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
 	*regs = s.snapRegs
 	for i := range s.snapLines {
@@ -131,13 +102,3 @@ func (s *nvsram) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
 	s.st.RestoreEvents++
 	return s.snapPC, cpu.Cost{Ns: s.p.RestoreTimeNs + n*s.p.RestorePerLineNs}
 }
-
-// Boot primes the JIT snapshot with the program entry so a failure before
-// the first backup restarts from the beginning.
-func (s *nvsram) Boot(entryPC int64) {
-	s.snapPC = entryPC
-	s.snapRegs = cpu.Regs{}
-}
-
-// Finalize drains dirty lines so the final NVM image is observable.
-func (s *nvsram) Finalize() { flushDirty(s.c, &s.base) }

@@ -2,7 +2,6 @@ package arch
 
 import (
 	"repro/internal/cache"
-	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
@@ -16,15 +15,12 @@ import (
 // recorded at backup time, which is observationally identical).
 type replay struct {
 	base
-	c *cache.Cache
 
 	// pending is the asynchronous clwb drain queue, oldest first.
 	pending []clwbEntry
 	// lastDrainDone is when the most recently enqueued entry completes.
 	lastDrainDone int64
 
-	snapRegs   cpu.Regs
-	snapPC     int64
 	snapReplay []clwbEntry
 
 	// dirtyScratch is reused by Backup's dirty-line enumeration.
@@ -36,15 +32,6 @@ type clwbEntry struct {
 	doneAt int64
 	data   [mem.LineSize]byte
 }
-
-func newReplay(p config.Params) *replay {
-	return &replay{base: newBase(p), c: cache.New(p.CacheSize, p.CacheWays)}
-}
-
-func (s *replay) Name() string        { return "ReplayCache" }
-func (s *replay) Kind() Kind          { return ReplayCache }
-func (s *replay) JIT() bool           { return true }
-func (s *replay) Cache() *cache.Cache { return s.c }
 
 // Sync applies queue entries whose drain completed by now.
 func (s *replay) Sync(now int64) {
@@ -98,19 +85,12 @@ func (s *replay) access(now int64, addr int64) (int, cpu.Cost) {
 
 func (s *replay) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		return int64(s.c.ByteAt(slot, addr)), cost
-	}
-	return s.c.ReadWord(slot, addr), cost
+	return s.read(slot, addr, byteWide), cost
 }
 
 func (s *replay) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 	slot, cost := s.access(now, addr)
-	if byteWide {
-		s.c.SetByte(slot, addr, byte(val))
-	} else {
-		s.c.WriteWord(slot, addr, val)
-	}
+	s.write(slot, addr, val, byteWide)
 	s.c.MarkDirty(slot)
 	return cost
 }
@@ -160,8 +140,6 @@ func (s *replay) Fence(now int64) cpu.Cost {
 }
 
 func (s *replay) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
-	s.snapRegs = *regs
-	s.snapPC = pc
 	// Unpersisted stores = queued writebacks not yet drained, plus dirty
 	// lines whose clwb had not issued yet.
 	s.snapReplay = append(s.snapReplay[:0], s.pending...)
@@ -169,9 +147,7 @@ func (s *replay) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
 	for _, slot := range s.dirtyScratch {
 		s.snapReplay = append(s.snapReplay, clwbEntry{addr: s.c.Tag(slot), data: *s.c.Data(slot)})
 	}
-	s.led.Backup += s.p.EBackupFixed
-	s.st.BackupEvents++
-	return cpu.Cost{Ns: s.p.BackupTimeNs}
+	return s.base.Backup(now, regs, pc)
 }
 
 func (s *replay) PowerFail(now int64) {
@@ -193,18 +169,9 @@ func (s *replay) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
 		s.st.ReplayedStores++
 	}
 	s.snapReplay = s.snapReplay[:0]
-	*regs = s.snapRegs
-	s.led.Restore += s.p.ERestoreFixed
-	s.st.RestoreEvents++
-	cost.Ns += s.p.RestoreTimeNs
-	return s.snapPC, cost
-}
-
-// Boot primes the JIT snapshot with the program entry so a failure before
-// the first backup restarts from the beginning.
-func (s *replay) Boot(entryPC int64) {
-	s.snapPC = entryPC
-	s.snapRegs = cpu.Regs{}
+	pc, rc := s.base.Restore(now, regs)
+	cost.Add(rc)
+	return pc, cost
 }
 
 // Finalize applies the outstanding clwb queue and dirty lines.
@@ -213,5 +180,5 @@ func (s *replay) Finalize() {
 		s.nvm.PokeLine(s.pending[i].addr, &s.pending[i].data)
 	}
 	s.pending = s.pending[:0]
-	flushDirty(s.c, &s.base)
+	s.base.Finalize()
 }

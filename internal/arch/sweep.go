@@ -33,7 +33,6 @@ import (
 // full-scan agreement assertions.
 type sweep struct {
 	base
-	c        *cache.Cache
 	emptyBit bool // Empty-Bit Search vs NVM Search (Section 4.4)
 
 	bufs   [2]*persist.Buffer
@@ -61,12 +60,8 @@ type sweep struct {
 	flushScratch []persist.Entry
 }
 
-func newSweep(p config.Params, emptyBit bool) *sweep {
-	s := &sweep{
-		base:     newBase(p),
-		c:        cache.New(p.CacheSize, p.CacheWays),
-		emptyBit: emptyBit,
-	}
+func newSweep(kind Kind, p config.Params) *sweep {
+	s := &sweep{base: newBase(kind, p), emptyBit: kind == SweepEmptyBit}
 	for i := range s.bufs {
 		s.bufs[i] = persist.NewBuffer(p.StoreThreshold)
 		s.wbi[i] = persist.NewWBITable(s.c.NumLines())
@@ -82,22 +77,7 @@ func newSweep(p config.Params, emptyBit bool) *sweep {
 // s-phase2 completion.
 const noDrainPending = int64(^uint64(0) >> 1)
 
-func (s *sweep) Name() string {
-	if s.emptyBit {
-		return "Sweep-EmptyBit"
-	}
-	return "Sweep-NVMSearch"
-}
-
-func (s *sweep) Kind() Kind {
-	if s.emptyBit {
-		return SweepEmptyBit
-	}
-	return SweepNVMSearch
-}
-
-func (s *sweep) JIT() bool           { return false }
-func (s *sweep) Cache() *cache.Cache { return s.c }
+func (s *sweep) JIT() bool { return false }
 
 // Boot emits the first region's start; the buffer itself was claimed at
 // construction, before any tracer could be attached.
@@ -224,10 +204,7 @@ func (s *sweep) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	if slot == cache.NoSlot {
 		slot, cost = s.missFill(now, addr)
 	}
-	if byteWide {
-		return int64(s.c.ByteAt(slot, addr)), cost
-	}
-	return s.c.ReadWord(slot, addr), cost
+	return s.read(slot, addr, byteWide), cost
 }
 
 func (s *sweep) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
@@ -260,11 +237,7 @@ func (s *sweep) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost 
 			s.st.WAWStallNs += wait
 		}
 	}
-	if byteWide {
-		s.c.SetByte(slot, addr, byte(val))
-	} else {
-		s.c.WriteWord(slot, addr, val)
-	}
+	s.write(slot, addr, val, byteWide)
 	if !s.c.Dirty(slot) {
 		s.c.MarkDirtyRegion(slot, s.seq)
 		s.wbi[s.active].Set(slot)
@@ -455,5 +428,5 @@ func (s *sweep) Finalize() {
 		b.Discard()
 	}
 	s.recomputeNextDrain()
-	flushDirty(s.c, &s.base)
+	s.base.Finalize()
 }

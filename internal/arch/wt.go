@@ -2,7 +2,6 @@ package arch
 
 import (
 	"repro/internal/cache"
-	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 )
@@ -11,21 +10,7 @@ import (
 // cached, but every store pays a synchronous NVM write, so the cache never
 // holds dirty data and crash consistency is free beyond the JIT register
 // checkpoint.
-type wt struct {
-	base
-	c        *cache.Cache
-	snapRegs cpu.Regs
-	snapPC   int64
-}
-
-func newWT(p config.Params) *wt {
-	return &wt{base: newBase(p), c: cache.New(p.CacheSize, p.CacheWays)}
-}
-
-func (s *wt) Name() string        { return "WT-VCache" }
-func (s *wt) Kind() Kind          { return WTVCache }
-func (s *wt) JIT() bool           { return true }
-func (s *wt) Cache() *cache.Cache { return s.c }
+type wt struct{ base }
 
 // fill brings addr's line in from NVM; write-through lines are always
 // clean, so the victim needs no draining.
@@ -43,21 +28,14 @@ func (s *wt) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	if slot == cache.NoSlot {
 		slot, cost = s.fill(addr)
 	}
-	if byteWide {
-		return int64(s.c.ByteAt(slot, addr)), cost
-	}
-	return s.c.ReadWord(slot, addr), cost
+	return s.read(slot, addr, byteWide), cost
 }
 
 func (s *wt) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 	s.led.Compute += s.p.ESRAMAccess
 	// Update the cached copy if present (no write-allocate) ...
 	if slot := s.c.Touch(addr); slot != cache.NoSlot {
-		if byteWide {
-			s.c.SetByte(slot, addr, byte(val))
-		} else {
-			s.c.WriteWord(slot, addr, val)
-		}
+		s.write(slot, addr, val, byteWide)
 	}
 	// ... and always write through to NVM.
 	s.led.NVM += s.p.ENVMWrite
@@ -68,30 +46,3 @@ func (s *wt) Store(now int64, addr int64, val int64, byteWide bool) cpu.Cost {
 	}
 	return cpu.Cost{Ns: s.p.NVMWriteNs}
 }
-
-func (s *wt) Backup(now int64, regs *cpu.Regs, pc int64) cpu.Cost {
-	s.snapRegs = *regs
-	s.snapPC = pc
-	s.led.Backup += s.p.EBackupFixed
-	s.st.BackupEvents++
-	return cpu.Cost{Ns: s.p.BackupTimeNs}
-}
-
-func (s *wt) PowerFail(now int64) { s.c.Invalidate() }
-
-func (s *wt) Restore(now int64, regs *cpu.Regs) (int64, cpu.Cost) {
-	*regs = s.snapRegs
-	s.led.Restore += s.p.ERestoreFixed
-	s.st.RestoreEvents++
-	return s.snapPC, cpu.Cost{Ns: s.p.RestoreTimeNs}
-}
-
-// Boot primes the JIT snapshot with the program entry so a failure before
-// the first backup restarts from the beginning.
-func (s *wt) Boot(entryPC int64) {
-	s.snapPC = entryPC
-	s.snapRegs = cpu.Regs{}
-}
-
-// Finalize is a no-op: a write-through cache never holds dirty data.
-func (s *wt) Finalize() {}

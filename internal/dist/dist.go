@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -385,19 +384,6 @@ func (c *Coordinator) enqueue(t *task, delay time.Duration) {
 	}
 }
 
-// backoff returns the jittered delay before retry n (0-based): capped
-// exponential with full jitter over the upper half.
-func (c *Coordinator) backoff(n int) time.Duration {
-	d := c.cfg.RetryBase
-	for i := 0; i < n && d < c.cfg.RetryCap; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryCap {
-		d = c.cfg.RetryCap
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
 // dispatch issues one lease for t to worker wi and classifies the
 // outcome.
 func (c *Coordinator) dispatch(ctx context.Context, wi, laneID int, t *task) {
@@ -505,7 +491,7 @@ func (c *Coordinator) classify(wi, laneID int, t *task, lctx context.Context, er
 			return
 		}
 		c.rep.Retries++
-		c.enqueue(t, c.backoff(t.failures-1))
+		c.enqueue(t, service.Jitter(service.Backoff(c.cfg.RetryBase, c.cfg.RetryCap, t.failures-1)))
 	case errors.Is(err, context.Canceled):
 		// Our own cancel without t.done: the run is shutting down via a
 		// path ctx.Err() hasn't surfaced yet. Leave the task; Run reports
@@ -524,15 +510,8 @@ func (c *Coordinator) classify(wi, laneID int, t *task, lctx context.Context, er
 // failure. Callers hold c.mu.
 func (c *Coordinator) benchLocked(wi int) {
 	b := &c.bench[wi]
-	d := benchBase
-	for i := 0; i < b.streak && d < benchCap; i++ {
-		d *= 2
-	}
-	if d > benchCap {
-		d = benchCap
-	}
+	b.until = time.Now().Add(service.Backoff(benchBase, benchCap, b.streak))
 	b.streak++
-	b.until = time.Now().Add(d)
 }
 
 // quarantineLocked retires a poisoned cell: reported, never retried

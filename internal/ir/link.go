@@ -114,6 +114,3 @@ func (l *Linked) Disasm() string {
 	}
 	return s
 }
-
-// StaticInstrCount returns the number of emitted instructions.
-func (l *Linked) StaticInstrCount() int { return len(l.Code) }

@@ -201,11 +201,6 @@ func (m *NVM) ContentHash() [sha256.Size]byte {
 	return out
 }
 
-// ResetCounters zeroes the traffic counters, keeping contents.
-func (m *NVM) ResetCounters() {
-	m.Reads, m.Writes, m.LineReads, m.LineWrites = 0, 0, 0, 0
-}
-
 // Equal reports whether the contents of m and o are byte-identical over
 // [0, max(sizes)); used by crash-consistency tests.
 func (m *NVM) Equal(o *NVM) bool {

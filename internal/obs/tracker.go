@@ -351,14 +351,10 @@ type Progress struct {
 	Cells   []CellProgress   `json:"cells"`
 }
 
-// Progress captures a point-in-time snapshot of the whole campaign.
-func (t *CampaignTracker) Progress() *Progress {
-	if t == nil {
-		return &Progress{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
+// summaryLocked fills Progress's header at now: the counts, rate, ETA
+// and latency quantiles, but not the per-worker and per-cell lists.
+// Callers hold t.mu.
+func (t *CampaignTracker) summaryLocked(now time.Time) *Progress {
 	p := &Progress{
 		Phase:      t.phase,
 		ElapsedSec: now.Sub(t.birth).Seconds(),
@@ -380,6 +376,18 @@ func (t *CampaignTracker) Progress() *Progress {
 		p.EtaSec = float64(remaining) / p.CellsPerSec
 		p.EtaKnown = true
 	}
+	return p
+}
+
+// Progress captures a point-in-time snapshot of the whole campaign.
+func (t *CampaignTracker) Progress() *Progress {
+	if t == nil {
+		return &Progress{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.now()
+	p := t.summaryLocked(now)
 	ids := make([]int, 0, len(t.workers))
 	for id := range t.workers {
 		ids = append(ids, id)
@@ -415,14 +423,17 @@ func (t *CampaignTracker) Progress() *Progress {
 }
 
 // Metrics renders the campaign's current state as a mergeable snapshot:
-// the tracker's computed counts and rates. /metrics serves it merged
-// with the server's Extra source.
+// the tracker's computed counts and rates, without Progress's per-cell
+// list, so a scrape costs the same however many cells are registered.
+// /metrics serves it merged with the server's Extra source.
 func (t *CampaignTracker) Metrics() *telemetry.Snapshot {
 	s := telemetry.NewSnapshot()
 	if t == nil {
 		return s
 	}
-	p := t.Progress()
+	t.mu.Lock()
+	p := t.summaryLocked(t.now())
+	t.mu.Unlock()
 	s.Counters["campaign_cells_done"] = uint64(p.Done)
 	s.Counters["campaign_cells_failed"] = uint64(p.Failed)
 	s.Counters["campaign_cells_skipped"] = uint64(p.Skipped)

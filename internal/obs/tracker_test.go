@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log/slog"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,67 @@ func TestTrackerNilSafe(t *testing.T) {
 		t.Fatal("nil watchdog stop is nil")
 	} else {
 		stop()
+	}
+}
+
+// TestMetricsSkipsCellList: a /metrics scrape reads Progress's header
+// without building its per-cell list, so at 10,000 registered cells one
+// call allocates a few KiB rather than one CellProgress per cell, and
+// every value equals Progress's.
+func TestMetricsSkipsCellList(t *testing.T) {
+	clk := newFakeClock()
+	tr := testTracker(clk)
+	const n = 10000
+	tr.AddCells(make([]CellMeta, n))
+	for i := 0; i < n/2; i++ {
+		tr.Start(i%4, i)
+		clk.advance(time.Millisecond)
+		tr.Done(i%4, i)
+	}
+	tr.Fail(1, n/2, errors.New("boom"), true)
+	tr.Start(0, n/2+1)
+	tr.Skip(n - 1)
+
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		tr.Metrics()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("Metrics allocates %d B per call at %d cells, want < 64 KiB", per, n)
+	}
+
+	p, m := tr.Progress(), tr.Metrics()
+	counters := map[string]uint64{
+		"campaign_cells_done":    uint64(p.Done),
+		"campaign_cells_failed":  uint64(p.Failed),
+		"campaign_cells_skipped": uint64(p.Skipped),
+		"campaign_worker_panics": p.Panics,
+	}
+	gauges := map[string]float64{
+		"campaign_cells_total":              float64(p.Total),
+		"campaign_cells_pending":            float64(p.Pending),
+		"campaign_cells_running":            float64(p.Running),
+		"campaign_cells_per_sec":            p.CellsPerSec,
+		"campaign_uptime_seconds":           p.ElapsedSec,
+		"campaign_cell_latency_p50_seconds": p.P50Ms / 1e3,
+		"campaign_cell_latency_p95_seconds": p.P95Ms / 1e3,
+		"campaign_eta_seconds":              p.EtaSec,
+	}
+	if len(m.Counters) != len(counters) || len(m.Gauges) != len(gauges) {
+		t.Fatalf("metric sets: counters %v, gauges %v", m.Counters, m.Gauges)
+	}
+	for k, want := range counters {
+		if got := m.Counters[k]; got != want {
+			t.Errorf("%s = %d, Progress says %d", k, got, want)
+		}
+	}
+	for k, want := range gauges {
+		if got := m.Gauges[k]; got != want {
+			t.Errorf("%s = %g, Progress says %g", k, got, want)
+		}
 	}
 }
 

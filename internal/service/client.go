@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -36,24 +37,35 @@ type RetryPolicy struct {
 // mid-restart no longer fails a sweepctl call.
 var DefaultRetry = RetryPolicy{Attempts: 3, Base: 100 * time.Millisecond, Cap: 2 * time.Second}
 
-// backoff returns the jittered delay before retry n (0-based): full
-// jitter over the upper half of the exponential step, so synchronized
-// clients spread out without ever retrying instantly.
+// backoff returns the jittered delay before retry n (0-based).
 func (p RetryPolicy) backoff(n int) time.Duration {
 	d := p.Base
 	if d <= 0 {
 		d = 50 * time.Millisecond
 	}
-	for i := 0; i < n; i++ {
-		d *= 2
-		if p.Cap > 0 && d >= p.Cap {
-			d = p.Cap
-			break
+	return Jitter(Backoff(d, p.Cap, n))
+}
+
+// Backoff returns base doubled n times and capped at limit (limit <= 0
+// means no cap). It saturates at the cap, or at the largest Duration,
+// instead of overflowing, however large n is.
+func Backoff(base, limit time.Duration, n int) time.Duration {
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	d := min(base, limit)
+	for i := 0; i < n && d < limit; i++ {
+		if d > limit/2 {
+			return limit
 		}
+		d *= 2
 	}
-	if p.Cap > 0 && d > p.Cap {
-		d = p.Cap
-	}
+	return d
+}
+
+// Jitter draws a delay uniformly from the upper half of d, [d/2, d], so
+// synchronized retriers spread out without ever retrying instantly.
+func Jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 

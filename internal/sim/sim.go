@@ -131,15 +131,6 @@ func (r *Result) ParallelismEfficiency() float64 {
 	return eff
 }
 
-// OutageRate returns outages per simulated millisecond of wall clock, or
-// 0 for an instantaneous (empty) run.
-func (r *Result) OutageRate() float64 {
-	if r.TimeNs == 0 {
-		return 0
-	}
-	return float64(r.Outages) / (float64(r.TimeNs) / 1e6)
-}
-
 // String renders the run as the human-readable report cmd/sweepsim
 // prints: timing, instruction mix, energy ledger, cache and NVM traffic,
 // and — where the scheme produces them — region and JIT statistics.

@@ -29,7 +29,6 @@ type lib struct {
 	k *kernel
 
 	memset  *ir.Function
-	memcpy  *ir.Function
 	fold    *ir.Function
 	clampFn *ir.Function
 }
@@ -56,31 +55,6 @@ func (l *lib) Memset() *ir.Function {
 	body.Jmp(head)
 	exit.Ret()
 	l.memset = f
-	return f
-}
-
-// Memcpy returns lib_memcpy(dst=R0, src=R1, words=R2).
-func (l *lib) Memcpy() *ir.Function {
-	if l.memcpy != nil {
-		return l.memcpy
-	}
-	f := l.k.p.NewFunc("lib_memcpy")
-	en := f.Entry()
-	head := f.NewBlock("head")
-	body := f.NewBlock("body")
-	exit := f.NewBlock("exit")
-	en.MovI(R3, 0)
-	en.Jmp(head)
-	head.Bge(R3, R2, exit, body)
-	body.ShlI(R4, R3, 3)
-	body.Add(R5, R4, R1)
-	body.Ld(R6, R5, 0)
-	body.Add(R5, R4, R0)
-	body.St(R5, 0, R6)
-	body.AddI(R3, R3, 1)
-	body.Jmp(head)
-	exit.Ret()
-	l.memcpy = f
 	return f
 }
 
