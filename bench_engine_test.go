@@ -105,6 +105,26 @@ func BenchmarkRunRFHome(b *testing.B) {
 	reportInstrRate(b, instrs)
 }
 
+// BenchmarkNVPRFHome measures the same harvested-power engine on the
+// cache-free NVP, whose fetches are charged: every instruction of an
+// epoch enters the memory system and takes the epoch's memory-instruction
+// tail. Its name keeps it out of the regression gate's -bench pattern.
+func BenchmarkNVPRFHome(b *testing.B) {
+	cres, p := benchCompile(b, arch.NVP)
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(cres.Linked, arch.New(arch.NVP, p),
+			sim.Options{Source: trace.NewShared(trace.RFHome, 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs = res.Counts.Executed
+	}
+	b.StopTimer()
+	reportInstrRate(b, instrs)
+}
+
 // BenchmarkRunBatch1 measures a one-lane sim.RunBatch — the scalar
 // engine — on basicmath on WT-VCache under the Thermal trace: an
 // ALU-heavy workload under a smooth harvest with rare outages.

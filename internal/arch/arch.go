@@ -158,7 +158,6 @@ func (b *base) Fence(now int64) cpu.Cost {
 	panic("arch: fence executed on a non-replay scheme")
 }
 func (b *base) ContinuesAfterBackup() bool { return false }
-func (b *base) NeedsBackup() bool          { return false }
 
 // Boot primes the JIT snapshot with the program entry so a failure before
 // the first backup restarts from the beginning.
@@ -233,9 +232,6 @@ type Scheme interface {
 	// ContinuesAfterBackup reports NvMR's defining property: execution
 	// proceeds past the backup instead of halting until VRestore.
 	ContinuesAfterBackup() bool
-	// NeedsBackup reports that the scheme requires an extra JIT backup
-	// now for structural reasons (NvMR's rename table filling up).
-	NeedsBackup() bool
 	// Boot primes the recovery state with the program entry point, so a
 	// failure before the first backup restarts the program.
 	Boot(entryPC int64)

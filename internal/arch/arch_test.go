@@ -34,6 +34,9 @@ func TestKindsAndConstruction(t *testing.T) {
 		if s.ContinuesAfterBackup() != (k == NvMR) {
 			t.Errorf("%v: ContinuesAfterBackup", k)
 		}
+		if _, ok := s.(interface{ NeedsBackup() bool }); ok != (k == NvMR) {
+			t.Errorf("%v: has NeedsBackup = %v", k, ok)
+		}
 	}
 }
 

@@ -33,7 +33,8 @@ func newNvMR(p config.Params) *nvmr {
 func (s *nvmr) ContinuesAfterBackup() bool { return true }
 
 // NeedsBackup reports that the rename table is full and a commit backup is
-// required before more speculative writebacks can rename.
+// required before more speculative writebacks can rename. No other scheme
+// has the method, so the engine asks only NvMR.
 func (s *nvmr) NeedsBackup() bool { return s.needBk }
 
 func (s *nvmr) writeback(v int) {

@@ -138,7 +138,7 @@ func (c *CPU) Step(now int64, ms MemSystem, t StepTiming) Cost {
 // Control parameterizes one Run call: the per-instruction ledger charge,
 // the sinks, and the stop rules. Budget = +Inf and SegDeadline =
 // MaxInstrNs = math.MaxInt64 mean "no bound"; a nil NeedsBackup means no
-// structural-backup queries.
+// structural-backup queries (only NvMR wires one).
 type Control struct {
 	// The per-instruction ledger charge added to Led.Compute: EByNs[ns]
 	// when ns indexes the table, else EInstr + PRun*ns*1e-9.
@@ -158,6 +158,12 @@ type Control struct {
 	RegionInstrs int               // running region length, carried across calls
 	OnRegionEnd  func(int)         // region-size sink; nil discards
 	Tracer       *telemetry.Tracer // checkpoint-store and save-PC events; nil disables
+
+	// nonComputeSafe is the budgeted call's second watermark, on
+	// Led.NonCompute(); Run's local cSafe is the first, on Compute. The
+	// first exact comparison of a budgeted call arms it, and no stop of
+	// an unbudgeted call depends on it.
+	nonComputeSafe float64
 }
 
 // What Run checks after an instruction retires. The choice is a per-class
@@ -166,14 +172,15 @@ type Control struct {
 const (
 	tailSkip  uint8 = iota // nothing: no stop rule can fire
 	tailShort              // latency, deadline and Compute-watermark compares
-	tailLong               // slowTail's region, halt, backup and budget checks, then the short ones
+	tailMem                // the backup query, both watermarks, then the short compares
+	tailLong               // region end and halt, then what tailMem does
 )
 
 // tailTable returns the class's tail for a call that is checked (carries
 // a budget, deadline, latency bound or backup query) or not, on a core
 // whose fetches are free or charged. Delimiters and halt always take the
 // long tail. An unchecked call skips everything else. A checked call
-// gives pure-compute classes the short tail and the rest the long one: a
+// gives pure-compute classes the short tail and the rest the mem tail: a
 // memory-system call can charge ledger fields the Compute watermark does
 // not bound, and can raise a backup request. A charged fetch enters the
 // memory system on every instruction.
@@ -186,7 +193,7 @@ func tailTable(checked, fetchFree bool) (t [isa.NumClasses]uint8) {
 		case !checked:
 			t[cl] = tailSkip
 		case f&isa.FlagMemSystem != 0 || !fetchFree:
-			t[cl] = tailLong
+			t[cl] = tailMem
 		default:
 			t[cl] = tailShort
 		}
@@ -200,15 +207,19 @@ var (
 	tailCheckedCharged = tailTable(true, false)
 )
 
-// slowTail finishes an instruction whose tail needs more than the
-// latency and deadline compares. For the long tail it reports a region
-// end, then stops the call on halt or a backup request; a memory-system
-// call may have charged ledger fields that the Compute watermark does not
-// bound, so the budget comparison follows. That comparison uses its exact
-// expression, and when the call may go on slowTail returns the next
-// Compute watermark: half the remaining slack above comp, or comp itself
-// once the slack is down to rounding noise. Kept out of line, its state
-// and constants hold no registers across Run's loop.
+// slowTail finishes an instruction whose tail needs more than Run's
+// inline compares: every long tail, a mem tail when a backup query is
+// wired, and any instruction that crossed a watermark. The long tail
+// reports a region end and stops the call on halt; the long and mem tails
+// then stop it on a backup request, and go on without a fold in an
+// unbudgeted call or below both watermarks. Otherwise the budget
+// comparison runs with its exact expression, and when the call may go on
+// slowTail re-arms both watermarks, a quarter of the remaining slack
+// above their current values each, and returns the Compute one. Once the
+// slack is down to rounding noise it returns comp itself, which every
+// later instruction reaches (no charge is negative), so each of them
+// folds. Kept out of line, its state and constants hold no registers
+// across Run's loop.
 func (ctl *Control) slowTail(k uint8, cl isa.Class, executed uint64, comp, cSafe float64, regionBase *uint64) (bool, float64) {
 	if k == tailLong {
 		if isa.ClassFlags[cl]&isa.FlagDelim != 0 {
@@ -217,10 +228,15 @@ func (ctl *Control) slowTail(k uint8, cl isa.Class, executed uint64, comp, cSafe
 			}
 			*regionBase = executed
 		}
-		if cl == isa.ClassHalt || ctl.NeedsBackup != nil && ctl.NeedsBackup() {
+		if cl == isa.ClassHalt {
 			return true, cSafe
 		}
-		if ctl.Budget == math.Inf(1) {
+	}
+	if k >= tailMem {
+		if ctl.NeedsBackup != nil && ctl.NeedsBackup() {
+			return true, cSafe
+		}
+		if ctl.Budget == math.Inf(1) || comp < cSafe && ctl.Led.NonCompute() < ctl.nonComputeSafe {
 			return false, cSafe
 		}
 	}
@@ -231,7 +247,8 @@ func (ctl *Control) slowTail(k uint8, cl isa.Class, executed uint64, comp, cSafe
 	}
 	slack := ctl.Budget - (tt - ctl.LedStart)
 	if slack > (tt+1)*1e-9 {
-		return false, comp + 0.5*slack
+		ctl.nonComputeSafe = ctl.Led.NonCompute() + 0.25*slack
+		return false, comp + 0.25*slack
 	}
 	return false, comp
 }
@@ -244,16 +261,20 @@ func (ctl *Control) slowTail(k uint8, cl isa.Class, executed uint64, comp, cSafe
 //
 // After each instruction Run adds the ledger charge to Led.Compute. The
 // budget comparison Total()-LedStart >= Budget is evaluated with that
-// exact expression whenever it can matter. On pure-compute stretches it
-// is skipped below a Compute watermark, which cannot change its outcome:
-// Total() is monotone non-decreasing in Compute with the other fields
-// held fixed (IEEE round-to-nearest addition is monotone in each operand,
-// and the fold composes monotone steps), and the other fields change only
-// inside the memory system. After an exact comparison that says
-// "continue", the watermark is re-armed at half the remaining slack: the
-// half not granted dwarfs the ~1e-15 relative drift between incremental
-// Compute adds and a fresh fold. Near the budget the slack collapses and
-// the comparison runs on every instruction.
+// exact expression whenever it can matter, and skipped while Compute and
+// Led.NonCompute() are both below their watermarks, which cannot change
+// its outcome. Every charge is non-negative (config.Validate rejects
+// negative energies), and Total() and NonCompute() are monotone
+// non-decreasing in each field (IEEE round-to-nearest addition is
+// monotone in each operand, and a fold composes monotone steps). After
+// an exact comparison that says "continue" with slack s, each watermark
+// is re-armed a quarter of s above its current value, so below both the
+// fold stays under its last value plus s/2: the half not granted dwarfs
+// the ~1e-15 relative drift between incremental adds and a fresh fold.
+// Only a memory-system call changes a field other than Compute, so a
+// pure-compute instruction compares Compute alone and a memory-system
+// one both. Near the budget the slack collapses and the comparison runs
+// on every instruction.
 //
 // Run on a halted core does nothing.
 func (c *CPU) Run(now int64, ms MemSystem, t StepTiming, ctl *Control) (elapsed int64, regionInstrs int) {
@@ -283,7 +304,7 @@ func (c *CPU) Run(now int64, ms MemSystem, t StepTiming, ctl *Control) (elapsed 
 	// (the only other writer) and before every Total() fold (the only
 	// other reader), so the float-add sequence it receives is unchanged.
 	comp := *compute
-	cSafe := comp // force an exact budget check on the first instruction
+	cSafe := comp // the first checked instruction folds, arming both watermarks
 	if !hasBudget {
 		cSafe = math.Inf(1)
 	}
@@ -445,8 +466,11 @@ func (c *CPU) Run(now int64, ms MemSystem, t StepTiming, ctl *Control) (elapsed 
 		now += ns
 
 		if k := tail[d.Class]; k != tailSkip {
+			// The common mem tail, with no backup query and both
+			// watermarks held, stays inline.
 			stop := false
-			if k == tailLong || comp >= cSafe {
+			if comp >= cSafe || k == tailLong ||
+				k == tailMem && (ctl.NeedsBackup != nil || ctl.Led.NonCompute() >= ctl.nonComputeSafe) {
 				stop, cSafe = ctl.slowTail(k, d.Class, executed, comp, cSafe, &regionBase)
 			}
 			if stop || ns >= ctl.MaxInstrNs || now >= ctl.SegDeadline {

@@ -79,3 +79,11 @@ type Ledger struct {
 func (l *Ledger) Total() float64 {
 	return l.Compute + l.NVM + l.Persist + l.Backup + l.Restore + l.Sleep
 }
+
+// NonCompute returns the energy consumed outside Compute: every field
+// Total folds onto Compute. Like Total, it is monotone non-decreasing in
+// each field; the interpreter's epoch watermarks rely on both (see
+// cpu.Run).
+func (l *Ledger) NonCompute() float64 {
+	return l.NVM + l.Persist + l.Backup + l.Restore + l.Sleep
+}

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -69,5 +70,23 @@ func TestLedgerTotal(t *testing.T) {
 	l := Ledger{Compute: 1, NVM: 2, Persist: 3, Backup: 4, Restore: 5, Sleep: 6}
 	if l.Total() != 21 {
 		t.Errorf("total = %f", l.Total())
+	}
+}
+
+// TestLedgerNonComputeCoversEveryField sets one field at a time: Total
+// must see each, and NonCompute each but Compute, so a field added to
+// the ledger and left out of either sum fails here.
+func TestLedgerNonComputeCoversEveryField(t *testing.T) {
+	ty := reflect.TypeOf(Ledger{})
+	for i := 0; i < ty.NumField(); i++ {
+		var l Ledger
+		reflect.ValueOf(&l).Elem().Field(i).SetFloat(1)
+		want := 1.0
+		if ty.Field(i).Name == "Compute" {
+			want = 0
+		}
+		if l.Total() != 1 || l.NonCompute() != want {
+			t.Errorf("%s = 1: Total %v, NonCompute %v; want 1, %v", ty.Field(i).Name, l.Total(), l.NonCompute(), want)
+		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// diffQuickSet mirrors exp's quick subset: two workloads per flavour.
+// diffQuickSet is the engine-equivalence set: the eight workloads on which
+// TestFastPathGolden's digests were taken. It is fixed with those digests
+// and does not follow exp's quick set.
 var diffQuickSet = map[string]bool{
 	"adpcmenc": true, "gsmdec": true, "sha": true, "susane": true,
 	"dijkstra": true, "fft": true, "blowfishenc": true, "rijndaelenc": true,

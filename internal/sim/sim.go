@@ -449,6 +449,13 @@ func (r *runner) checkCancel() error {
 	return nil
 }
 
+// backupRequester is the optional capability of a JIT scheme that can
+// require an extra backup now, for structural reasons. Only NvMR has it
+// (its rename table filling up), so no other scheme pays for the query.
+type backupRequester interface {
+	NeedsBackup() bool
+}
+
 // newRunner validates opt, boots the scheme, and builds one run's mutable
 // state. It leaves the pre-canceled-context check to the caller (Run
 // wants the Result back even then).
@@ -509,8 +516,10 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	}
 	r.epochCtl = r.freeCtl
 	r.epochCtl.MaxInstrNs = epochMaxInstrNs
-	if s.JIT() {
-		r.epochCtl.NeedsBackup = s.NeedsBackup
+	// The structural-backup query, nil for every scheme that cannot
+	// raise one: preInstrEvents and each epoch consult this one func.
+	if br, ok := s.(backupRequester); ok && s.JIT() {
+		r.epochCtl.NeedsBackup = br.NeedsBackup
 	}
 	if opt.Source != nil {
 		r.cursor = trace.NewCursor(opt.Source)
@@ -630,7 +639,7 @@ func (r *runner) preInstrEvents() (handled bool, err error) {
 	p, s, core, led, cap := &r.p, r.s, r.core, r.led, r.cap
 	jit := s.JIT()
 	// Structural backup request (NvMR rename-table full).
-	if jit && s.NeedsBackup() {
+	if nb := r.epochCtl.NeedsBackup; nb != nil && nb() {
 		before := led.Total()
 		bcost := s.Backup(r.now, &core.Regs, core.PC)
 		r.tr.Emit(telemetry.EvBackup, r.now, core.PC, bcost.Ns, 0, 0)

@@ -29,14 +29,14 @@ pid=$!
 # matrix completes. SIGKILL: the process gets no chance to flush or
 # clean up.
 for _ in $(seq 1 1000); do
-    n=$(wc -l <"$workdir/killed.jsonl" 2>/dev/null || echo 0)
+    n=$(wc -l 2>/dev/null <"$workdir/killed.jsonl" || echo 0)
     [ "$n" -ge 5 ] && break
     kill -0 "$pid" 2>/dev/null || break
     sleep 0.01
 done
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-before=$(wc -l <"$workdir/killed.jsonl" 2>/dev/null || echo 0)
+before=$(wc -l 2>/dev/null <"$workdir/killed.jsonl" || echo 0)
 echo "   killed with $before/$total cells journaled"
 if [ "$before" -ge "$total" ]; then
     echo "   (matrix finished before the kill landed — resume will be a pure cache run)"
