@@ -23,9 +23,21 @@ fmt-check:
 
 # The whole paper evaluation against its committed output: sweepexp -exp
 # all must print docs/full_results.txt, trailing blank lines aside (the
-# command substitution strips them).
+# command substitution strips them), and journal the committed records:
+# the sha256 of its journal's sorted (key, digest) pairs must equal
+# docs/full_results.records.sha256. A change meant to change records (a
+# sim.EngineVersion bump, a new sim.Result field) regenerates that file
+# by writing the sha256 this target reports into it.
 golden:
-	out="$$($(GO) run ./cmd/sweepexp -exp all)" && printf '%s\n' "$$out" | diff docs/full_results.txt -
+	j=$$(mktemp) && trap 'rm -f "$$j"' EXIT && \
+	out="$$($(GO) run ./cmd/sweepexp -exp all -journal "$$j")" && \
+	printf '%s\n' "$$out" | diff docs/full_results.txt - && \
+	sum=$$(grep -aE '^\{"format":1,"key":"[0-9a-f]{64}"' "$$j" | \
+		sed -E 's/.*"key":"([0-9a-f]+)".*"digest":"([0-9a-f]+)".*/\1 \2/' | \
+		LC_ALL=C sort | sha256sum | cut -d' ' -f1) && \
+	if [ "$$sum" != "$$(cat docs/full_results.records.sha256)" ]; then \
+		echo "golden: the evaluation's records changed (sha256 $$sum)" >&2; exit 1; \
+	fi
 
 # The full evaluation-in-miniature: one benchmark per paper table/figure.
 bench:

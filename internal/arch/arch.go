@@ -261,22 +261,59 @@ type Scheme interface {
 	SetTracer(tr *telemetry.Tracer)
 }
 
-// New constructs the scheme for kind with the appropriate Table 1 voltage
-// thresholds applied to p.
+// Params returns the parameters a scheme of kind k runs with: p under
+// the kind's Table 1 voltage thresholds, with every field the kind never
+// reads reset to its config.Default value. Two parameter sets with the
+// same Params therefore build machines that simulate identically, which
+// is what lets an experiment serve one cell from another's record.
+//
+// The resets cover exactly the fields a figure sweeps on a kind that
+// ignores them: the cache geometry on the cache-free NVP, and the three
+// SweepCache-only knobs on every other kind. VBackupBoost stays, since
+// the JIT threshold is re-derived from it, so Params is idempotent.
+func (k Kind) Params(p config.Params) config.Params {
+	p = k.thresholds(p)
+	d := config.Default()
+	if k == NVP {
+		p.CacheSize, p.CacheWays = d.CacheSize, d.CacheWays
+	}
+	if k != SweepNVMSearch && k != SweepEmptyBit {
+		p.SweepRestoreDelayNs, p.SweepVmin, p.SweepSingleBuffer = d.SweepRestoreDelayNs, d.SweepVmin, d.SweepSingleBuffer
+	}
+	return p
+}
+
+// thresholds applies the kind's Table 1 voltage thresholds to p.
+func (k Kind) thresholds(p config.Params) config.Params {
+	switch k {
+	case NVSRAM, NVSRAME:
+		return p.WithNVSRAMThresholds()
+	case SweepNVMSearch, SweepEmptyBit:
+		return p.WithSweepThresholds()
+	}
+	return p.WithNVPThresholds()
+}
+
+// New constructs the scheme for kind, running with kind.Params(p).
 func New(kind Kind, p config.Params) Scheme {
+	return build(kind, kind.Params(p))
+}
+
+// build constructs the scheme for kind running with exactly p.
+func build(kind Kind, p config.Params) Scheme {
 	switch kind {
 	case NVP:
-		return &nvp{newBase(kind, p.WithNVPThresholds())}
+		return &nvp{newBase(kind, p)}
 	case WTVCache:
-		return &wt{newBase(kind, p.WithNVPThresholds())}
+		return &wt{newBase(kind, p)}
 	case NVSRAM, NVSRAME:
-		return newNVSRAM(kind, p.WithNVSRAMThresholds())
+		return newNVSRAM(kind, p)
 	case ReplayCache:
-		return &replay{base: newBase(kind, p.WithNVPThresholds())}
+		return &replay{base: newBase(kind, p)}
 	case SweepNVMSearch, SweepEmptyBit:
-		return newSweep(kind, p.WithSweepThresholds())
+		return newSweep(kind, p)
 	case NvMR:
-		return newNvMR(p.WithNVPThresholds())
+		return newNvMR(p)
 	}
 	panic("arch: unknown kind")
 }

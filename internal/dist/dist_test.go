@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -452,25 +453,30 @@ func TestDistNoGoroutineLeak(t *testing.T) {
 
 	run := func(cancelMidway bool) {
 		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var hook leaseHook
 		if cancelMidway {
-			hook = func(service.LeaseRequest) (time.Duration, int) { return 50 * time.Millisecond, 0 }
+			// The first lease cancels the campaign, and the hook holds
+			// every lease 50 ms: the cancel lands with no cell complete,
+			// however fast the host.
+			var first atomic.Bool
+			hook = func(service.LeaseRequest) (time.Duration, int) {
+				if first.CompareAndSwap(false, true) {
+					cancel()
+				}
+				return 50 * time.Millisecond, 0
+			}
 		}
 		w0, _ := startWorker(t, filepath.Join(dir, "w0.jsonl"), hook)
 		coord, err := New(fastCfg(w0.URL))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		if cancelMidway {
-			go func() { time.Sleep(25 * time.Millisecond); cancel() }()
-		} else {
-			defer cancel()
-		}
 		rep, err := coord.Run(ctx, reqs)
 		if cancelMidway {
-			if err == nil {
-				t.Log("cancel landed after completion; still checking for leaks")
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled campaign returned %v, want context.Canceled", err)
 			}
 		} else if err != nil {
 			t.Fatalf("campaign: %v (report %s)", err, rep.Summary())

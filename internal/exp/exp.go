@@ -82,8 +82,10 @@ type Context struct {
 	Tracker *obs.CampaignTracker
 	// Metrics, when non-nil, accumulates every simulated run's metrics
 	// snapshot across the (parallel) experiment matrices. A cell the
-	// store served from memory or the journal was not simulated and
-	// contributes nothing; the store's own counters say how many were.
+	// store served from memory or the journal, or one served from an
+	// equivalent cell's record, was not simulated and contributes
+	// nothing; the store's counters and exp.equivalent_hits say how many
+	// were.
 	Metrics *telemetry.Snapshot
 	// TraceDir, when set, records one JSONL telemetry stream per
 	// simulated run into that directory.
@@ -97,6 +99,19 @@ type Context struct {
 	// Journal is nil. It is built at the first matrix.
 	cellsOnce sync.Once
 	cells     atomic.Pointer[store.Store]
+
+	// equiv maps each (kind, kind.Params fingerprint) the context has
+	// run to the raw params fingerprint of the first matrix that ran it;
+	// see equivalentFP.
+	equivMu   sync.Mutex
+	equiv     map[equivKey]string
+	equivHits atomic.Uint64
+}
+
+// equivKey names what a scheme of one kind runs with.
+type equivKey struct {
+	kind arch.Kind
+	fp   string // kind.Params(p).Fingerprint()
 }
 
 // store returns the context's result store, building it on first use.
@@ -274,6 +289,50 @@ type matrixJob struct {
 	w  workloads.Workload
 	k  arch.Kind
 	id journal.Cell
+	// equivFP is the raw params fingerprint of the cell's equivalent, or
+	// "" when it has none (see equivalentFP).
+	equivFP string
+}
+
+// equivalentFP returns the raw params fingerprint under which an earlier
+// matrix ran kind k with the same kind.Params as p, or "" when p (raw
+// fingerprint fp) is the first. A scheme runs with exactly kind.Params,
+// so such a cell's record is the one this matrix would simulate: Fig 8's
+// NVP, for one, never reads the cache size it sweeps.
+func (c *Context) equivalentFP(k arch.Kind, p config.Params, fp string) string {
+	key := equivKey{k, k.Params(p).Fingerprint()}
+	c.equivMu.Lock()
+	defer c.equivMu.Unlock()
+	first, ok := c.equiv[key]
+	if !ok {
+		if c.equiv == nil {
+			c.equiv = map[equivKey]string{}
+		}
+		c.equiv[key] = fp
+		return ""
+	}
+	if first == fp {
+		return ""
+	}
+	return first
+}
+
+// serveEquivalent returns j's record copied from its equivalent cell's,
+// if the store holds that. Reading the equivalent counts no store hit:
+// the store counts j itself as a miss.
+func (c *Context) serveEquivalent(st *store.Store, j matrixJob) (*journal.Record, bool) {
+	if j.equivFP == "" {
+		return nil, false
+	}
+	eq := j.id
+	eq.ParamsFP = j.equivFP
+	rec, ok := st.Peek(eq)
+	if !ok {
+		return nil, false
+	}
+	c.equivHits.Add(1)
+	// Records are immutable, so the copy shares the histograms.
+	return &journal.Record{Result: rec.Result, NVMHash: rec.NVMHash}, true
 }
 
 // runMatrix executes every workload on NVP plus the requested kinds under
@@ -294,6 +353,9 @@ type matrixJob struct {
 //     each distinct cell once. With a journal attached, completed cells
 //     are durable and re-runs serve them from disk, so any interruption
 //     (cancel, panic, kill -9) resumes to a byte-identical result.
+//   - A cell whose equivalent (the same cell under params with the same
+//     kind.Params) the store already holds is served from that record,
+//     not simulated, and still stored under its own key.
 func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params, seeds int) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
@@ -308,12 +370,16 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	}
 
 	allKinds, fp := withNVP(kinds), p.Fingerprint()
+	equivFP := make([]string, len(allKinds))
+	for i, k := range allKinds {
+		equivFP[i] = c.equivalentFP(k, p, fp)
+	}
 	// A cell's seeds are adjacent jobs, so its results are one subslice.
 	var jobs []matrixJob
 	for _, w := range wl {
-		for _, k := range allKinds {
+		for i, k := range allKinds {
 			for s := 0; s < seeds; s++ {
-				jobs = append(jobs, matrixJob{w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp)})
+				jobs = append(jobs, matrixJob{w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp), equivFP[i]})
 			}
 		}
 	}
@@ -373,9 +439,13 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 				}
 				// The store serves a cell an earlier matrix ran from
 				// memory and a proven one from the journal; any other it
-				// simulates once and makes durable before returning it.
-				// Only a simulated cell is ever running.
+				// copies from its equivalent or simulates once, and makes
+				// durable before returning it. Only a simulated cell is
+				// ever running.
 				rec, tier, err := st.GetOrCompute(ctx, j.id, func(ctx context.Context) (*journal.Record, error) {
+					if rec, ok := c.serveEquivalent(st, j); ok {
+						return rec, nil
+					}
 					c.Tracker.Start(i, trkBase+idx)
 					res, err := c.runCell(ctx, j, p, profile)
 					if err != nil {
@@ -546,10 +616,11 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 }
 
 // MetricsSnapshot returns a copy of the accumulated simulation metrics
-// merged with the context store's counters (once the first matrix has
-// built it), safe to call concurrently with a running matrix — the live
-// /metrics endpoint scrapes it mid-campaign. An empty snapshot when
-// metrics accumulation is off.
+// merged, once the first matrix has built the store, with the store's
+// counters and exp.equivalent_hits (the cells served from an
+// equivalent's record). It is safe to call concurrently with a running
+// matrix — the live /metrics endpoint scrapes it mid-campaign. An empty
+// snapshot when metrics accumulation is off.
 func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	out := telemetry.NewSnapshot()
 	if c.Metrics == nil {
@@ -561,6 +632,7 @@ func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	c.metricsMu.Unlock()
 	if st := c.cells.Load(); st != nil {
 		_ = out.Merge(st.Stats().Metrics()) // counters and gauges only: cannot fail
+		out.Counters["exp.equivalent_hits"] = c.equivHits.Load()
 	}
 	return out
 }

@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -286,49 +289,152 @@ func TestWTBetweenNVPAndNVSRAM(t *testing.T) {
 }
 
 // TestContextSimulatesEachCellOnce: figures sharing one Context share its
-// store, so a cell an earlier figure ran is served from memory, not
-// simulated again — and the printed tables are exactly what fresh
-// contexts print. Parallelism reads the NVP and Sweep-EmptyBit cells of
-// Figs 5 and 7, so the three figures simulate 80 distinct cells and
-// reuse 32. A scraper reads the metrics throughout, as /metrics does.
+// store, so a cell an earlier figure ran is served from memory, and a
+// cell whose scheme never reads what its figure changed is served from
+// the equivalent an earlier matrix ran (the same cell under params with
+// the same kind.Params); every other cell is simulated once. The printed
+// tables are exactly what fresh contexts print, and a scraper reads the
+// metrics throughout, as /metrics does. Per workload:
+//   - Figs 5 and 7 run 5 kinds each, outage-free and under RFOffice;
+//     Parallelism reads their NVP and Sweep-EmptyBit cells: 10 runs and
+//     4 memory hits (80 and 32 over the quick set).
+//   - Figs 9, 11 and 8 all run under RFOffice. Fig 9 runs a 100 nF NVP
+//     baseline and 6 capacitors × 4 kinds: 24 runs; its 100 nF NVP cell
+//     repeats the baseline (1 memory hit). Fig 11a raises
+//     SweepRestoreDelayNs, which only SweepCache reads: the baseline and
+//     the 18 NVP, ReplayCache and NVSRAM cells are Fig 9's (1 memory
+//     hit, 18 served), and SweepCache runs 6. Fig 11b changes the JIT
+//     delays, which SweepCache never reads: its 6 SweepCache cells are
+//     Fig 9's (6 served); the baseline and the 18 JIT cells run (1
+//     memory hit, 18 runs). Fig 8 sweeps the cache at 470 nF: the 4 kB
+//     column is Fig 9's 470 nF one (4 memory hits); at the other 5 sizes
+//     NVP is served from it (5) and the 3 cached kinds run (15). That is
+//     63 runs, 7 memory hits and 29 served cells, and each served record
+//     must be what simulating the cell under its own params returns.
 func TestContextSimulatesEachCellOnce(t *testing.T) {
-	figs := []func(*Context) error{
-		func(c *Context) error { _, err := c.Fig5(); return err },
-		func(c *Context) error { _, err := c.Fig7(); return err },
-		func(c *Context) error { _, err := c.Parallelism(); return err },
+	var fig9 *CapacitorSweepResult
+	var fig8 *CacheSweepResult
+	for _, tc := range []struct {
+		name                  string
+		figs                  []func(*Context) error
+		runs, memHits, served uint64 // per workload
+	}{
+		{"fig5-fig7-par", []func(*Context) error{
+			func(c *Context) error { _, err := c.Fig5(); return err },
+			func(c *Context) error { _, err := c.Fig7(); return err },
+			func(c *Context) error { _, err := c.Parallelism(); return err },
+		}, 10, 4, 0},
+		{"fig9-fig11-fig8", []func(*Context) error{
+			func(c *Context) (err error) { fig9, err = c.Fig9(); return err },
+			func(c *Context) error { _, err := c.Fig11(); return err },
+			func(c *Context) (err error) { fig8, err = c.Fig8(); return err },
+		}, 63, 7, 29},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shared := quickCtx()
+			var got, want strings.Builder
+			shared.Out = &got
+			shared.Metrics = telemetry.NewSnapshot()
+			stop, scraped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(scraped)
+				for {
+					select {
+					case <-stop:
+						return
+					case <-time.After(time.Millisecond):
+						shared.MetricsSnapshot()
+					}
+				}
+			}()
+			defer func() { close(stop); <-scraped }()
+			for _, fig := range tc.figs {
+				if err := fig(shared); err != nil {
+					t.Fatal(err)
+				}
+				fresh := quickCtx()
+				fresh.Out = &want
+				if err := fig(fresh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got.String() != want.String() {
+				t.Errorf("shared context printed\n%s\nfresh contexts printed\n%s", got.String(), want.String())
+			}
+			n := uint64(len(shared.Workloads()))
+			snap := shared.MetricsSnapshot()
+			runs, hits, served := snap.Counters["sim.runs"], snap.Counters["store.mem_hits"], snap.Counters["exp.equivalent_hits"]
+			if runs != tc.runs*n || hits != tc.memHits*n || served != tc.served*n {
+				t.Errorf("sim.runs %d, store.mem_hits %d, exp.equivalent_hits %d; want %d, %d and %d",
+					runs, hits, served, tc.runs*n, tc.memHits*n, tc.served*n)
+			}
+			if tc.served > 0 {
+				checkServedRecords(t, shared, fig9, fig8, served)
+			}
+		})
 	}
-	shared := quickCtx()
-	var got, want strings.Builder
-	shared.Out = &got
-	shared.Metrics = telemetry.NewSnapshot()
-	stop, scraped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(scraped)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				shared.MetricsSnapshot()
+}
+
+// checkServedRecords re-simulates every cell the Figs 9, 11 and 8 run of
+// c served from an equivalent, under the cell's own params, and requires
+// the served record to carry that simulation's digest and NVM hash.
+func checkServedRecords(t *testing.T, c *Context, fig9 *CapacitorSweepResult, fig8 *CacheSweepResult, served uint64) {
+	t.Helper()
+	// The figures' param sets in the order they first ran: a cell whose
+	// kind ran with the same kind.Params under an earlier set was served.
+	pa, pb := c.Params, c.Params
+	pa.SweepRestoreDelayNs = 10300
+	pb.BackupDelayNs, pb.RestoreDelayNs = 500, 3000
+	var sets []config.Params
+	for _, p0 := range []config.Params{c.Params, pa, pb} {
+		for _, cf := range fig9.Caps {
+			p := p0
+			p.CapacitorF = cf
+			sets = append(sets, p)
+		}
+	}
+	for _, sz := range fig8.Sizes {
+		p := c.Params
+		p.CacheSize = sz
+		sets = append(sets, p)
+	}
+	type class struct {
+		workload string
+		kind     arch.Kind
+		fp       string // kind.Params fingerprint
+	}
+	firstFP := map[class]string{}
+	pr := trace.RFOffice
+	checked := uint64(0)
+	for _, p := range sets {
+		fp := p.Fingerprint()
+		for _, w := range c.Workloads() {
+			for _, k := range arch.AllKinds() {
+				rec, ok := c.store().Peek(c.CellID(w.Name, k, &pr, c.Seed, fp))
+				if !ok {
+					continue
+				}
+				cl := class{w.Name, k, k.Params(p).Fingerprint()}
+				if first, ok := firstFP[cl]; !ok || first == fp {
+					firstFP[cl] = fp
+					continue
+				}
+				checked++
+				cres, err := core.SharedCompileCache().Get(core.KeyFor(w.Name, c.Scale, k, p), c.builder(w), k, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := core.RunCompiled(cres, k, p, trace.NewShared(pr, c.Seed), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if simulated := journal.FromResult(res); simulated.Digest() != rec.Digest() || simulated.NVMHash != rec.NVMHash {
+					t.Errorf("%s on %v under params %.8s: served record differs from a simulation", w.Name, k, fp)
+				}
 			}
 		}
-	}()
-	defer func() { close(stop); <-scraped }()
-	for _, fig := range figs {
-		if err := fig(shared); err != nil {
-			t.Fatal(err)
-		}
-		fresh := quickCtx()
-		fresh.Out = &want
-		if err := fig(fresh); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if got.String() != want.String() {
-		t.Errorf("shared context printed\n%s\nfresh contexts printed\n%s", got.String(), want.String())
-	}
-	snap := shared.MetricsSnapshot()
-	if runs, hits := snap.Counters["sim.runs"], snap.Counters["store.mem_hits"]; runs != 80 || hits != 32 {
-		t.Errorf("sim.runs %d, store.mem_hits %d; want 80 and 32", runs, hits)
+	if checked != served {
+		t.Errorf("checked %d served cells, the context served %d", checked, served)
 	}
 }

@@ -30,5 +30,5 @@ func (c *Context) RunSingle(ctx context.Context, workload string, kind arch.Kind
 		ctx = c.ctx()
 	}
 	id := c.CellID(workload, kind, profile, c.Seed, c.Params.Fingerprint())
-	return c.runCell(ctx, matrixJob{w, kind, id}, c.Params, profile)
+	return c.runCell(ctx, matrixJob{w: w, k: kind, id: id}, c.Params, profile)
 }

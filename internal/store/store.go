@@ -152,6 +152,11 @@ func (s *Store) Lookup(c journal.Cell) (*journal.Record, Tier, bool) {
 	return s.lookupLocked(key)
 }
 
+// Peek returns the cell's record if the store holds it, counting
+// nothing: a caller that reads one cell's record to compute another's
+// is not serving a hit.
+func (s *Store) Peek(c journal.Cell) (*journal.Record, bool) { return s.j.Lookup(c) }
+
 // GetOrCompute serves the cell from the index, or — on a miss — runs
 // compute exactly once however many callers ask concurrently: one
 // leader simulates while followers block on its result (each counted
