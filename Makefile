@@ -28,15 +28,29 @@ fmt-check:
 # docs/full_results.records.sha256. A change meant to change records (a
 # sim.EngineVersion bump, a new sim.Result field) regenerates that file
 # by writing the sha256 this target reports into it.
+#
+# The same run pins the evaluation's work: its -metrics counter lines for
+# the cells simulated (sim.runs), served from an equivalent or an
+# outage-free twin (exp.equivalent_hits, exp.twin_hits), distinct
+# (store.misses) and repeated (store.mem_hits) must equal
+# docs/full_results.counts. Matrices run in order and a cell is only ever
+# served from an earlier, finished one, so the counts repeat exactly. A
+# change meant to change them regenerates that file from the counter
+# lines the failing diff prints (those marked >), or by running the grep
+# below over `go run ./cmd/sweepexp -exp all -metrics -`.
 golden:
-	j=$$(mktemp) && trap 'rm -f "$$j"' EXIT && \
-	out="$$($(GO) run ./cmd/sweepexp -exp all -journal "$$j")" && \
+	j=$$(mktemp) && m=$$(mktemp) && trap 'rm -f "$$j" "$$m"' EXIT && \
+	out="$$($(GO) run ./cmd/sweepexp -exp all -journal "$$j" -metrics "$$m")" && \
 	printf '%s\n' "$$out" | diff docs/full_results.txt - && \
 	sum=$$(grep -aE '^\{"format":1,"key":"[0-9a-f]{64}"' "$$j" | \
 		sed -E 's/.*"key":"([0-9a-f]+)".*"digest":"([0-9a-f]+)".*/\1 \2/' | \
 		LC_ALL=C sort | sha256sum | cut -d' ' -f1) && \
 	if [ "$$sum" != "$$(cat docs/full_results.records.sha256)" ]; then \
 		echo "golden: the evaluation's records changed (sha256 $$sum)" >&2; exit 1; \
+	fi && \
+	if ! grep -E '^counter (sim\.runs|exp\.equivalent_hits|exp\.twin_hits|store\.misses|store\.mem_hits)[[:space:]]' "$$m" | \
+		diff docs/full_results.counts -; then \
+		echo "golden: the evaluation's work changed (counters above)" >&2; exit 1; \
 	fi
 
 # The full evaluation-in-miniature: one benchmark per paper table/figure.

@@ -264,13 +264,18 @@ type Scheme interface {
 // Params returns the parameters a scheme of kind k runs with: p under
 // the kind's Table 1 voltage thresholds, with every field the kind never
 // reads reset to its config.Default value. Two parameter sets with the
-// same Params therefore build machines that simulate identically, which
-// is what lets an experiment serve one cell from another's record.
+// same Params therefore build machines, and compile binaries, that
+// simulate identically, which is what lets an experiment serve one cell
+// from another's record.
 //
 // The resets cover exactly the fields a figure sweeps on a kind that
 // ignores them: the cache geometry on the cache-free NVP, and the three
-// SweepCache-only knobs on every other kind. VBackupBoost stays, since
-// the JIT threshold is re-derived from it, so Params is idempotent.
+// SweepCache-only knobs and the two compile knobs only the sweep-mode
+// compiler reads (the unroll cap and inlining) on every other kind.
+// StoreThreshold stays for every kind: the replay-mode compiler reads it,
+// and every scheme sizes its stores-per-region histogram from it.
+// VBackupBoost stays, since the JIT threshold is re-derived from it, so
+// Params is idempotent.
 func (k Kind) Params(p config.Params) config.Params {
 	p = k.thresholds(p)
 	d := config.Default()
@@ -279,7 +284,26 @@ func (k Kind) Params(p config.Params) config.Params {
 	}
 	if k != SweepNVMSearch && k != SweepEmptyBit {
 		p.SweepRestoreDelayNs, p.SweepVmin, p.SweepSingleBuffer = d.SweepRestoreDelayNs, d.SweepVmin, d.SweepSingleBuffer
+		p.CompilerUnrollCap, p.CompilerInline = d.CompilerUnrollCap, d.CompilerInline
 	}
+	return p
+}
+
+// OutageFreeParams returns the parameters an outage-free run of kind k
+// reads: Params(p) with the supply fields the figures sweep reset to
+// Params(config.Default())'s values. With no power trace the engine never
+// compares a voltage, never charges the capacitor, and never backs up or
+// restores, so it reads none of the capacitor, the backup and brown-out
+// thresholds (and the degradation boost that raises one), or the
+// propagation delays. Two parameter sets with the same OutageFreeParams
+// run outage-free to the same record. Every other field stays; PRun in
+// particular, since every instruction's charge reads it.
+func (k Kind) OutageFreeParams(p config.Params) config.Params {
+	p, d := k.Params(p), k.Params(config.Default())
+	p.CapacitorF = d.CapacitorF
+	p.VBackupBoost, p.VBackup = d.VBackupBoost, d.VBackup
+	p.BackupDelayNs, p.RestoreDelayNs, p.SweepRestoreDelayNs = d.BackupDelayNs, d.RestoreDelayNs, d.SweepRestoreDelayNs
+	p.SweepVmin, p.Vmin = d.SweepVmin, d.Vmin
 	return p
 }
 

@@ -83,9 +83,9 @@ type Context struct {
 	// Metrics, when non-nil, accumulates every simulated run's metrics
 	// snapshot across the (parallel) experiment matrices. A cell the
 	// store served from memory or the journal, or one served from an
-	// equivalent cell's record, was not simulated and contributes
-	// nothing; the store's counters and exp.equivalent_hits say how many
-	// were.
+	// equivalent cell's record or from its outage-free twin's, was not
+	// simulated and contributes nothing; the store's counters,
+	// exp.equivalent_hits and exp.twin_hits say how many were.
 	Metrics *telemetry.Snapshot
 	// TraceDir, when set, records one JSONL telemetry stream per
 	// simulated run into that directory.
@@ -100,18 +100,31 @@ type Context struct {
 	cellsOnce sync.Once
 	cells     atomic.Pointer[store.Store]
 
-	// equiv maps each (kind, kind.Params fingerprint) the context has
-	// run to the raw params fingerprint of the first matrix that ran it;
-	// see equivalentFP.
+	// equiv maps each (kind, supply class, fingerprint of what the
+	// kind's runs read) the context has run to the raw params
+	// fingerprint of the first matrix that ran it; see equivalentFP and
+	// twinFP.
 	equivMu   sync.Mutex
 	equiv     map[equivKey]string
 	equivHits atomic.Uint64
+	twinHits  atomic.Uint64
 }
 
-// equivKey names what a scheme of one kind runs with.
+// equivKey names what a scheme of one kind reads under one supply class:
+// outage-free, kind.OutageFreeParams; harvested, kind.Params.
 type equivKey struct {
-	kind arch.Kind
-	fp   string // kind.Params(p).Fingerprint()
+	kind       arch.Kind
+	outageFree bool
+	fp         string
+}
+
+// newEquivKey returns the key of kind k's runs under params p and the
+// supply class of profile.
+func newEquivKey(k arch.Kind, profile *trace.Profile, p config.Params) equivKey {
+	if profile == nil {
+		return equivKey{k, true, k.OutageFreeParams(p).Fingerprint()}
+	}
+	return equivKey{k, false, k.Params(p).Fingerprint()}
 }
 
 // store returns the context's result store, building it on first use.
@@ -292,15 +305,22 @@ type matrixJob struct {
 	// equivFP is the raw params fingerprint of the cell's equivalent, or
 	// "" when it has none (see equivalentFP).
 	equivFP string
+	// twinFP is the raw params fingerprint of a harvested cell's
+	// outage-free twin, or "" when it has none (see twinFP); quiet is
+	// the cell's sim.QuietBudget.
+	twinFP string
+	quiet  float64
 }
 
 // equivalentFP returns the raw params fingerprint under which an earlier
-// matrix ran kind k with the same kind.Params as p, or "" when p (raw
-// fingerprint fp) is the first. A scheme runs with exactly kind.Params,
-// so such a cell's record is the one this matrix would simulate: Fig 8's
-// NVP, for one, never reads the cache size it sweeps.
-func (c *Context) equivalentFP(k arch.Kind, p config.Params, fp string) string {
-	key := equivKey{k, k.Params(p).Fingerprint()}
+// matrix ran kind k, under the supply class of profile, reading the same
+// params as p, or "" when p (raw fingerprint fp) is the first. A scheme
+// runs with exactly kind.Params, and outage-free reads only
+// kind.OutageFreeParams, so such a cell's record is the one this matrix
+// would simulate: Fig 8's NVP, for one, never reads the cache size it
+// sweeps.
+func (c *Context) equivalentFP(k arch.Kind, profile *trace.Profile, p config.Params, fp string) string {
+	key := newEquivKey(k, profile, p)
 	c.equivMu.Lock()
 	defer c.equivMu.Unlock()
 	first, ok := c.equiv[key]
@@ -317,6 +337,16 @@ func (c *Context) equivalentFP(k arch.Kind, p config.Params, fp string) string {
 	return first
 }
 
+// twinFP returns the raw params fingerprint under which an earlier
+// matrix ran kind k outage-free reading the same params as p, or "" when
+// none did. It registers nothing: a harvested matrix only looks up.
+func (c *Context) twinFP(k arch.Kind, p config.Params) string {
+	key := newEquivKey(k, nil, p)
+	c.equivMu.Lock()
+	defer c.equivMu.Unlock()
+	return c.equiv[key]
+}
+
 // serveEquivalent returns j's record copied from its equivalent cell's,
 // if the store holds that. Reading the equivalent counts no store hit:
 // the store counts j itself as a miss.
@@ -331,8 +361,46 @@ func (c *Context) serveEquivalent(st *store.Store, j matrixJob) (*journal.Record
 		return nil, false
 	}
 	c.equivHits.Add(1)
-	// Records are immutable, so the copy shares the histograms.
-	return &journal.Record{Result: rec.Result, NVMHash: rec.NVMHash}, true
+	return servedCopy(rec), true
+}
+
+// serveTwin returns harvested cell j's record copied from its outage-free
+// twin's (the same cell, outage-free, under the twin's raw params), if
+// the store holds that and the twin's ledger fits j's quiet budget: then
+// j's run crosses no trigger and retires exactly the twin's run (see
+// sim.QuietBudget). Reading the twin counts no store hit.
+func (c *Context) serveTwin(st *store.Store, j matrixJob) (*journal.Record, bool) {
+	if j.twinFP == "" {
+		return nil, false
+	}
+	tw := j.id
+	tw.Profile, tw.ParamsFP = profileName(nil), j.twinFP
+	rec, ok := st.Peek(tw)
+	if !ok || rec.Result.Ledger.Total() > j.quiet {
+		return nil, false
+	}
+	c.twinHits.Add(1)
+	return servedCopy(rec), true
+}
+
+// quietBudget returns the sim.QuietBudget of kind k's machine under p, or
+// 0 when p builds none (a cache geometry Validate passes but the cache
+// model rejects): such a cell simulates, and fails inside its worker's
+// panic isolation.
+func quietBudget(k arch.Kind, p config.Params) (budget float64) {
+	defer func() {
+		if recover() != nil {
+			budget = 0
+		}
+	}()
+	return sim.QuietBudget(arch.New(k, p))
+}
+
+// servedCopy returns a new record carrying rec's result and NVM hash, for
+// a cell served from another cell's record. Records are immutable, so the
+// copy shares the histograms.
+func servedCopy(rec *journal.Record) *journal.Record {
+	return &journal.Record{Result: rec.Result, NVMHash: rec.NVMHash}
 }
 
 // runMatrix executes every workload on NVP plus the requested kinds under
@@ -353,9 +421,11 @@ func (c *Context) serveEquivalent(st *store.Store, j matrixJob) (*journal.Record
 //     each distinct cell once. With a journal attached, completed cells
 //     are durable and re-runs serve them from disk, so any interruption
 //     (cancel, panic, kill -9) resumes to a byte-identical result.
-//   - A cell whose equivalent (the same cell under params with the same
-//     kind.Params) the store already holds is served from that record,
-//     not simulated, and still stored under its own key.
+//   - A cell whose equivalent (the same cell under params its kind
+//     reads the same) the store already holds is served from that
+//     record, not simulated, and still stored under its own key. So is a
+//     harvested cell whose outage-free twin the store holds, when the
+//     twin's ledger fits the cell's sim.QuietBudget.
 func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params, seeds int) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
@@ -370,16 +440,25 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	}
 
 	allKinds, fp := withNVP(kinds), p.Fingerprint()
-	equivFP := make([]string, len(allKinds))
+	// What each kind's cells share: the equivalent, and under a power
+	// trace the outage-free twin and the quiet budget.
+	proto := make([]matrixJob, len(allKinds))
 	for i, k := range allKinds {
-		equivFP[i] = c.equivalentFP(k, p, fp)
+		proto[i].equivFP = c.equivalentFP(k, profile, p, fp)
+		if profile != nil {
+			if proto[i].twinFP = c.twinFP(k, p); proto[i].twinFP != "" {
+				proto[i].quiet = quietBudget(k, p)
+			}
+		}
 	}
 	// A cell's seeds are adjacent jobs, so its results are one subslice.
 	var jobs []matrixJob
 	for _, w := range wl {
 		for i, k := range allKinds {
 			for s := 0; s < seeds; s++ {
-				jobs = append(jobs, matrixJob{w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp), equivFP[i]})
+				j := proto[i]
+				j.w, j.k, j.id = w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp)
+				jobs = append(jobs, j)
 			}
 		}
 	}
@@ -439,11 +518,14 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 				}
 				// The store serves a cell an earlier matrix ran from
 				// memory and a proven one from the journal; any other it
-				// copies from its equivalent or simulates once, and makes
-				// durable before returning it. Only a simulated cell is
-				// ever running.
+				// copies from its equivalent or its outage-free twin or
+				// simulates once, and makes durable before returning it.
+				// Only a simulated cell is ever running.
 				rec, tier, err := st.GetOrCompute(ctx, j.id, func(ctx context.Context) (*journal.Record, error) {
 					if rec, ok := c.serveEquivalent(st, j); ok {
+						return rec, nil
+					}
+					if rec, ok := c.serveTwin(st, j); ok {
 						return rec, nil
 					}
 					c.Tracker.Start(i, trkBase+idx)
@@ -617,10 +699,11 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 
 // MetricsSnapshot returns a copy of the accumulated simulation metrics
 // merged, once the first matrix has built the store, with the store's
-// counters and exp.equivalent_hits (the cells served from an
-// equivalent's record). It is safe to call concurrently with a running
-// matrix — the live /metrics endpoint scrapes it mid-campaign. An empty
-// snapshot when metrics accumulation is off.
+// counters, exp.equivalent_hits (the cells served from an equivalent's
+// record) and exp.twin_hits (those served from an outage-free twin's).
+// It is safe to call concurrently with a running matrix — the live
+// /metrics endpoint scrapes it mid-campaign. An empty snapshot when
+// metrics accumulation is off.
 func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	out := telemetry.NewSnapshot()
 	if c.Metrics == nil {
@@ -633,6 +716,7 @@ func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	if st := c.cells.Load(); st != nil {
 		_ = out.Merge(st.Stats().Metrics()) // counters and gauges only: cannot fail
 		out.Counters["exp.equivalent_hits"] = c.equivHits.Load()
+		out.Counters["exp.twin_hits"] = c.twinHits.Load()
 	}
 	return out
 }

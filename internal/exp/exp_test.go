@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -289,18 +290,20 @@ func TestWTBetweenNVPAndNVSRAM(t *testing.T) {
 }
 
 // TestContextSimulatesEachCellOnce: figures sharing one Context share its
-// store, so a cell an earlier figure ran is served from memory, and a
-// cell whose scheme never reads what its figure changed is served from
-// the equivalent an earlier matrix ran (the same cell under params with
-// the same kind.Params); every other cell is simulated once. The printed
-// tables are exactly what fresh contexts print, and a scraper reads the
-// metrics throughout, as /metrics does. Per workload:
+// store, so a cell an earlier figure ran is served from memory, a cell
+// whose scheme never reads what its figure changed is served from the
+// equivalent an earlier matrix ran (the same cell under params its kind
+// reads the same), and a harvested cell whose outage-free twin an earlier
+// matrix ran is served from it when the twin's ledger fits the cell's
+// sim.QuietBudget; every other cell is simulated once. The printed tables
+// are exactly what fresh contexts print, and a scraper reads the metrics
+// throughout, as /metrics does. Over the 8 quick workloads:
 //   - Figs 5 and 7 run 5 kinds each, outage-free and under RFOffice;
-//     Parallelism reads their NVP and Sweep-EmptyBit cells: 10 runs and
-//     4 memory hits (80 and 32 over the quick set).
-//   - Figs 9, 11 and 8 all run under RFOffice. Fig 9 runs a 100 nF NVP
-//     baseline and 6 capacitors × 4 kinds: 24 runs; its 100 nF NVP cell
-//     repeats the baseline (1 memory hit). Fig 11a raises
+//     Parallelism reads their NVP and Sweep-EmptyBit cells: 80 runs and
+//     32 memory hits. At 470 nF no cell is quiet: no twin serves.
+//   - Figs 9, 11 and 8 all run under RFOffice. Per workload, Fig 9 runs
+//     a 100 nF NVP baseline and 6 capacitors × 4 kinds: 24 runs; its
+//     100 nF NVP cell repeats the baseline (1 memory hit). Fig 11a raises
 //     SweepRestoreDelayNs, which only SweepCache reads: the baseline and
 //     the 18 NVP, ReplayCache and NVSRAM cells are Fig 9's (1 memory
 //     hit, 18 served), and SweepCache runs 6. Fig 11b changes the JIT
@@ -309,26 +312,45 @@ func TestWTBetweenNVPAndNVSRAM(t *testing.T) {
 //     memory hit, 18 runs). Fig 8 sweeps the cache at 470 nF: the 4 kB
 //     column is Fig 9's 470 nF one (4 memory hits); at the other 5 sizes
 //     NVP is served from it (5) and the 3 cached kinds run (15). That is
-//     63 runs, 7 memory hits and 29 served cells, and each served record
-//     must be what simulating the cell under its own params returns.
+//     63 runs, 7 memory hits and 29 served cells per workload. No
+//     outage-free matrix runs, so no twin serves.
+//   - Fig 5 then Figs 9 and 11 are the case above without Fig 8 (per
+//     workload 48 runs, 3 memory hits and 24 served), after an
+//     outage-free matrix of NVP and the four Fig 5 kinds. Its cells are
+//     the twins of the capacitor sweeps' NVP, ReplayCache, NVSRAM and
+//     Sweep-EmptyBit cells, and they serve 180 of them: the quiet ones,
+//     at the large capacitors. That leaves 424 - 180 = 244 runs.
+//
+// Each served record must be what simulating the cell under its own
+// params and supply returns.
 func TestContextSimulatesEachCellOnce(t *testing.T) {
 	var fig9 *CapacitorSweepResult
 	var fig8 *CacheSweepResult
 	for _, tc := range []struct {
-		name                  string
-		figs                  []func(*Context) error
-		runs, memHits, served uint64 // per workload
+		name                         string
+		figs                         []func(*Context) error
+		sets                         func(*Context) []matrixSet // what the figures' matrices ran, in order
+		runs, memHits, served, twins uint64
 	}{
 		{"fig5-fig7-par", []func(*Context) error{
 			func(c *Context) error { _, err := c.Fig5(); return err },
 			func(c *Context) error { _, err := c.Fig7(); return err },
 			func(c *Context) error { _, err := c.Parallelism(); return err },
-		}, 10, 4, 0},
+		}, nil, 80, 32, 0, 0},
 		{"fig9-fig11-fig8", []func(*Context) error{
 			func(c *Context) (err error) { fig9, err = c.Fig9(); return err },
 			func(c *Context) error { _, err := c.Fig11(); return err },
 			func(c *Context) (err error) { fig8, err = c.Fig8(); return err },
-		}, 63, 7, 29},
+		}, func(c *Context) []matrixSet {
+			return append(capSweepSets(c, fig9.Caps), cacheSweepSets(c, fig8.Sizes)...)
+		}, 504, 56, 232, 0},
+		{"fig5-fig9-fig11", []func(*Context) error{
+			func(c *Context) error { _, err := c.Fig5(); return err },
+			func(c *Context) (err error) { fig9, err = c.Fig9(); return err },
+			func(c *Context) error { _, err := c.Fig11(); return err },
+		}, func(c *Context) []matrixSet {
+			return append([]matrixSet{{nil, c.Params}}, capSweepSets(c, fig9.Caps)...)
+		}, 244, 24, 192, 180},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			shared := quickCtx()
@@ -361,80 +383,125 @@ func TestContextSimulatesEachCellOnce(t *testing.T) {
 			if got.String() != want.String() {
 				t.Errorf("shared context printed\n%s\nfresh contexts printed\n%s", got.String(), want.String())
 			}
-			n := uint64(len(shared.Workloads()))
-			snap := shared.MetricsSnapshot()
-			runs, hits, served := snap.Counters["sim.runs"], snap.Counters["store.mem_hits"], snap.Counters["exp.equivalent_hits"]
-			if runs != tc.runs*n || hits != tc.memHits*n || served != tc.served*n {
-				t.Errorf("sim.runs %d, store.mem_hits %d, exp.equivalent_hits %d; want %d, %d and %d",
-					runs, hits, served, tc.runs*n, tc.memHits*n, tc.served*n)
+			c := shared.MetricsSnapshot().Counters
+			runs, hits, served, twins := c["sim.runs"], c["store.mem_hits"], c["exp.equivalent_hits"], c["exp.twin_hits"]
+			if runs != tc.runs || hits != tc.memHits || served != tc.served || twins != tc.twins {
+				t.Errorf("sim.runs %d, store.mem_hits %d, exp.equivalent_hits %d, exp.twin_hits %d; want %d, %d, %d and %d",
+					runs, hits, served, twins, tc.runs, tc.memHits, tc.served, tc.twins)
 			}
-			if tc.served > 0 {
-				checkServedRecords(t, shared, fig9, fig8, served)
+			if tc.sets != nil {
+				checkServedRecords(t, shared, tc.sets(shared), served, twins)
 			}
 		})
 	}
 }
 
-// checkServedRecords re-simulates every cell the Figs 9, 11 and 8 run of
-// c served from an equivalent, under the cell's own params, and requires
-// the served record to carry that simulation's digest and NVM hash.
-func checkServedRecords(t *testing.T, c *Context, fig9 *CapacitorSweepResult, fig8 *CacheSweepResult, served uint64) {
-	t.Helper()
-	// The figures' param sets in the order they first ran: a cell whose
-	// kind ran with the same kind.Params under an earlier set was served.
+// matrixSet is the supply (nil = outage-free) and params of one matrix.
+type matrixSet struct {
+	profile *trace.Profile
+	p       config.Params
+}
+
+// capSweepSets lists the matrices of Fig 9 and Fig 11 over caps in the
+// order they ran: each sweep's 100 nF baseline is its first capacitor's
+// set.
+func capSweepSets(c *Context, caps []float64) []matrixSet {
 	pa, pb := c.Params, c.Params
 	pa.SweepRestoreDelayNs = 10300
 	pb.BackupDelayNs, pb.RestoreDelayNs = 500, 3000
-	var sets []config.Params
+	pr := trace.RFOffice
+	var sets []matrixSet
 	for _, p0 := range []config.Params{c.Params, pa, pb} {
-		for _, cf := range fig9.Caps {
+		for _, cf := range caps {
 			p := p0
 			p.CapacitorF = cf
-			sets = append(sets, p)
+			sets = append(sets, matrixSet{&pr, p})
 		}
 	}
-	for _, sz := range fig8.Sizes {
+	return sets
+}
+
+// cacheSweepSets lists the matrices of Fig 8 over sizes in the order
+// they ran.
+func cacheSweepSets(c *Context, sizes []int) []matrixSet {
+	pr := trace.RFOffice
+	var sets []matrixSet
+	for _, sz := range sizes {
 		p := c.Params
 		p.CacheSize = sz
-		sets = append(sets, p)
+		sets = append(sets, matrixSet{&pr, p})
 	}
+	return sets
+}
+
+// checkServedRecords finds every cell of c's matrices, sets in the order
+// they ran, that c served from an equivalent or from an outage-free twin
+// rather than simulating. It re-simulates each under the cell's own raw
+// params and supply, and requires the served record to carry that
+// simulation's digest and NVM hash. The cells it checks must be as many
+// as the context reports serving, of each kind.
+func checkServedRecords(t *testing.T, c *Context, sets []matrixSet, served, twins uint64) {
+	t.Helper()
 	type class struct {
 		workload string
-		kind     arch.Kind
-		fp       string // kind.Params fingerprint
+		key      equivKey
 	}
 	firstFP := map[class]string{}
-	pr := trace.RFOffice
-	checked := uint64(0)
-	for _, p := range sets {
-		fp := p.Fingerprint()
+	seen := map[[2]string]bool{}
+	var checkedEquiv, checkedTwins uint64
+	for _, set := range sets {
+		fp := set.p.Fingerprint()
+		id := [2]string{profileName(set.profile), fp}
+		if seen[id] {
+			continue // a repeated matrix is served from memory
+		}
+		seen[id] = true
 		for _, w := range c.Workloads() {
 			for _, k := range arch.AllKinds() {
-				rec, ok := c.store().Peek(c.CellID(w.Name, k, &pr, c.Seed, fp))
+				rec, ok := c.store().Peek(c.CellID(w.Name, k, set.profile, c.Seed, fp))
 				if !ok {
 					continue
 				}
-				cl := class{w.Name, k, k.Params(p).Fingerprint()}
-				if first, ok := firstFP[cl]; !ok || first == fp {
+				cl := class{w.Name, newEquivKey(k, set.profile, set.p)}
+				first, ok := firstFP[cl]
+				switch {
+				case ok && first != fp:
+					checkedEquiv++
+				case set.profile == nil:
 					firstFP[cl] = fp
 					continue
+				default:
+					firstFP[cl] = fp
+					twinFP, ok := firstFP[class{w.Name, newEquivKey(k, nil, set.p)}]
+					if !ok {
+						continue
+					}
+					twin, ok := c.store().Peek(c.CellID(w.Name, k, nil, c.Seed, twinFP))
+					if !ok || twin.Result.Ledger.Total() > sim.QuietBudget(arch.New(k, set.p)) {
+						continue
+					}
+					checkedTwins++
 				}
-				checked++
-				cres, err := core.SharedCompileCache().Get(core.KeyFor(w.Name, c.Scale, k, p), c.builder(w), k, p)
+				var src trace.Source
+				if set.profile != nil {
+					src = trace.NewShared(*set.profile, c.Seed)
+				}
+				cres, err := core.SharedCompileCache().Get(core.KeyFor(w.Name, c.Scale, k, set.p), c.builder(w), k, set.p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := core.RunCompiled(cres, k, p, trace.NewShared(pr, c.Seed), nil)
+				res, err := core.RunCompiled(cres, k, set.p, src, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if simulated := journal.FromResult(res); simulated.Digest() != rec.Digest() || simulated.NVMHash != rec.NVMHash {
-					t.Errorf("%s on %v under params %.8s: served record differs from a simulation", w.Name, k, fp)
+					t.Errorf("%s on %v, %s, params %.8s: served record differs from a simulation", w.Name, k, profileName(set.profile), fp)
 				}
 			}
 		}
 	}
-	if checked != served {
-		t.Errorf("checked %d served cells, the context served %d", checked, served)
+	if checkedEquiv != served || checkedTwins != twins {
+		t.Errorf("checked %d cells served from equivalents and %d from twins; the context served %d and %d",
+			checkedEquiv, checkedTwins, served, twins)
 	}
 }

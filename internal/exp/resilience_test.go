@@ -245,6 +245,23 @@ func TestRunMatrixInputValidation(t *testing.T) {
 	if _, err := c2.runMatrix(kinds, pr, c2.Params, 1); err == nil || !strings.Contains(err.Error(), "empty workload") {
 		t.Errorf("empty workload set: err = %v", err)
 	}
+
+	// A cache geometry Validate passes but the cache model rejects (24
+	// sets, not a power of two) panics each cached cell's machine: every
+	// such cell fails as a *CellError carrying the panic's stack, under a
+	// power trace too, where the outage-free matrix before it made the
+	// cells' twins known to the context.
+	c3, _, pr := resilienceCtx()
+	c3.Only = []string{"sha"}
+	p = c3.Params
+	p.CacheSize = 3 << 10
+	for _, profile := range []*trace.Profile{nil, pr} {
+		_, err := c3.runMatrix([]arch.Kind{arch.NVSRAM}, profile, p, 1)
+		var ce *CellError
+		if !errors.As(err, &ce) || ce.Stack == nil || ce.Scheme != arch.NVSRAM.String() {
+			t.Errorf("unbuildable cache under %s: err = %v", profileName(profile), err)
+		}
+	}
 }
 
 // TestCellTimeout bounds one cell's wall clock at an impossible 1 ns:

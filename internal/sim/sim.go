@@ -383,6 +383,58 @@ const epochMaxInstrNs = 16_384
 // just steps precisely.
 const minEpochInstrs = 64
 
+// slackFraction is the share of the energy above the trigger floor that
+// an epoch, or a whole run under QuietBudget, may consume. Any fraction
+// strictly below one keeps every pre-instruction point above the floor;
+// the eighth held back absorbs float drift in the capacitor's energy and
+// voltage arithmetic.
+const slackFraction = 0.875
+
+// triggerFloor returns the stored energy at the highest voltage trigger
+// the engine compares against before each instruction: Vmin, or for a JIT
+// scheme VBackup when that is higher.
+func triggerFloor(c *energy.Capacitor, p *config.Params, jit bool) float64 {
+	floor := c.EnergyAt(p.Vmin)
+	if jit {
+		if eb := c.EnergyAt(p.VBackup); eb > floor {
+			floor = eb
+		}
+	}
+	return floor
+}
+
+// QuietBudget returns the ledger total under which a run of s crosses no
+// voltage trigger on any power trace, and so returns its outage-free
+// run's Result byte for byte: slackFraction of the energy s's capacitor
+// holds between Vmax and its highest trigger. It returns 0, a budget no
+// run fits, for a scheme that requests backups of its own (NvMR: its
+// rename table forces them under any trace) and for params the engine
+// would reject under a power trace.
+//
+// The proof is an induction over instructions. Every ledger charge is
+// non-negative, so the ledger only grows. The capacitor starts at Vmax;
+// harvest only adds energy, and the Vmax clamp only removes energy that
+// harvest added; draw removes exactly the ledger delta, whether settled
+// per instruction or per epoch. So before each instruction the stored
+// energy is at least E(Vmax) minus the ledger so far, and that is at
+// least E(Vmax) minus the outage-free total, which is above the floor by
+// an eighth of the slack whenever the total fits the budget. No
+// comparison in preInstrEvents fires: the run takes no backup and no
+// outage, and makes the outage-free run's ledger adds in the same order.
+func QuietBudget(s arch.Scheme) float64 {
+	p, jit := s.Params(), s.JIT()
+	if p.Validate() != nil {
+		return 0
+	}
+	if jit {
+		if _, ok := s.(backupRequester); ok || p.ValidateJIT() != nil {
+			return 0
+		}
+	}
+	c := energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax)
+	return (c.Energy() - triggerFloor(c, &p, jit)) * slackFraction
+}
+
 // quantV quantizes a reported voltage to 1 µV. Telemetry voltage fields
 // exist for humans and plots; quantizing them makes the JSONL stream
 // insensitive to ULP-level differences in capacitor state between the
@@ -796,12 +848,6 @@ func (r *runner) epochBudget(jit bool) float64 {
 	if r.cap.EnergyAt(r.p.Vmax)-eNow <= 2*pseg*epochMaxInstrNs*1e-9 {
 		return 0
 	}
-	floor := r.cap.EnergyAt(r.p.Vmin)
-	if jit {
-		if eb := r.cap.EnergyAt(r.p.VBackup); eb > floor {
-			floor = eb
-		}
-	}
 	// Any fraction strictly below one keeps every pre-instruction point of
 	// the epoch above the floor (the draw at each such point is below the
 	// budget, and harvest only adds), so the reference engine's threshold
@@ -810,7 +856,7 @@ func (r *runner) epochBudget(jit bool) float64 {
 	// makes the per-discharge epoch count log_{8}, not log_{2}, and leaves
 	// correspondingly fewer instructions to the precise-stepping tail once
 	// the slack stops being worth an epoch.
-	budget := (eNow - floor) * 0.875
+	budget := (eNow - triggerFloor(r.cap, &r.p, jit)) * slackFraction
 	minWorthwhile := minEpochInstrs * (r.p.EInstr + r.p.PRun*float64(r.p.CycleNs)*1e-9)
 	if budget <= minWorthwhile {
 		return 0
