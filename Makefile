@@ -32,12 +32,14 @@ fmt-check:
 # The same run pins the evaluation's work: its -metrics counter lines for
 # the cells simulated (sim.runs), served from an equivalent or an
 # outage-free twin (exp.equivalent_hits, exp.twin_hits), distinct
-# (store.misses) and repeated (store.mem_hits) must equal
-# docs/full_results.counts. Matrices run in order and a cell is only ever
-# served from an earlier, finished one, so the counts repeat exactly. A
-# change meant to change them regenerates that file from the counter
-# lines the failing diff prints (those marked >), or by running the grep
-# below over `go run ./cmd/sweepexp -exp all -metrics -`.
+# (store.misses) and repeated (store.mem_hits), and for the instructions
+# and outages the simulated cells ran (sim.instructions, sim.outages)
+# must equal docs/full_results.counts. Matrices run in order and a cell
+# is only ever served from an earlier, finished one, so the counts repeat
+# exactly, and a change in what is simulated fails here with no timing
+# noise. A change meant to change them regenerates that file from the
+# counter lines the failing diff prints (those marked >), or by running
+# the grep below over `go run ./cmd/sweepexp -exp all -metrics -`.
 golden:
 	j=$$(mktemp) && m=$$(mktemp) && trap 'rm -f "$$j" "$$m"' EXIT && \
 	out="$$($(GO) run ./cmd/sweepexp -exp all -journal "$$j" -metrics "$$m")" && \
@@ -48,7 +50,7 @@ golden:
 	if [ "$$sum" != "$$(cat docs/full_results.records.sha256)" ]; then \
 		echo "golden: the evaluation's records changed (sha256 $$sum)" >&2; exit 1; \
 	fi && \
-	if ! grep -E '^counter (sim\.runs|exp\.equivalent_hits|exp\.twin_hits|store\.misses|store\.mem_hits)[[:space:]]' "$$m" | \
+	if ! grep -E '^counter (sim\.runs|sim\.instructions|sim\.outages|exp\.equivalent_hits|exp\.twin_hits|store\.misses|store\.mem_hits)[[:space:]]' "$$m" | \
 		diff docs/full_results.counts -; then \
 		echo "golden: the evaluation's work changed (counters above)" >&2; exit 1; \
 	fi

@@ -269,15 +269,21 @@ func (p Params) WithSweepThresholds() Params {
 	return p
 }
 
-// UsableEnergy returns the energy between two voltages on this capacitor.
-func (p Params) UsableEnergy(vhi, vlo float64) float64 {
-	return 0.5 * p.CapacitorF * (vhi*vhi - vlo*vlo)
-}
+// The largest cache and store threshold Validate accepts. Building a
+// scheme allocates per cache line and per threshold entry, and an
+// allocation the runtime cannot satisfy kills the process instead of
+// panicking, so no params set may ask for gigabytes. The figures use at
+// most 16 KiB and 256.
+const (
+	maxCacheSize      = 1 << 20
+	maxStoreThreshold = 4096
+)
 
 // Validate reports the first scheme-independent inconsistency in p as a
 // descriptive error, instead of letting a malformed configuration surface
-// downstream as a NaN energy ledger, a zero-set cache panic, or an
-// infinite recharge loop. The dynamic-only failure modes — most notably a
+// downstream as a NaN energy ledger, a cache-geometry panic, or an
+// infinite recharge loop: every scheme builds from a set Validate
+// accepts. The dynamic-only failure modes — most notably a
 // restore threshold at or below the brown-out voltage, which Table 1
 // studies deliberately explore — stay with the engine's forward-progress
 // guard (ErrNoProgress) rather than being rejected here.
@@ -337,11 +343,20 @@ func (p Params) Validate() error {
 	if p.CacheSize <= 0 || p.CacheWays <= 0 {
 		return fmt.Errorf("config: cache geometry must be positive (size %d, ways %d)", p.CacheSize, p.CacheWays)
 	}
-	if p.CacheSize < 64*p.CacheWays {
+	if p.CacheSize > maxCacheSize {
+		return fmt.Errorf("config: cache size %d above %d B", p.CacheSize, maxCacheSize)
+	}
+	if p.CacheSize/64 < p.CacheWays {
 		return fmt.Errorf("config: cache size %d below one 64 B line per way (%d ways)", p.CacheSize, p.CacheWays)
+	}
+	if sets := p.CacheSize / 64 / p.CacheWays; sets&(sets-1) != 0 {
+		return fmt.Errorf("config: cache of %d B in %d ways has %d sets, not a power of two", p.CacheSize, p.CacheWays, sets)
 	}
 	if p.StoreThreshold <= 0 {
 		return fmt.Errorf("config: non-positive store threshold %d — persist buffers need capacity", p.StoreThreshold)
+	}
+	if p.StoreThreshold > maxStoreThreshold {
+		return fmt.Errorf("config: store threshold %d above %d entries", p.StoreThreshold, maxStoreThreshold)
 	}
 	if p.ClwbQueueDepth <= 0 {
 		return fmt.Errorf("config: non-positive clwb queue depth %d", p.ClwbQueueDepth)

@@ -55,12 +55,3 @@ func TestVBackupBoost(t *testing.T) {
 		t.Error("boost crossed the restore threshold")
 	}
 }
-
-func TestUsableEnergy(t *testing.T) {
-	p := Default()
-	got := p.UsableEnergy(3.5, 2.8)
-	want := 0.5 * 470e-9 * (3.5*3.5 - 2.8*2.8)
-	if diff := got - want; diff > 1e-15 || diff < -1e-15 {
-		t.Errorf("usable energy %g want %g", got, want)
-	}
-}

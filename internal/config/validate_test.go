@@ -38,7 +38,11 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"negative delay", func(p *Params) { p.RestoreDelayNs = -1 }, "delay"},
 		{"zero cache", func(p *Params) { p.CacheSize = 0 }, "cache"},
 		{"cache below one line per way", func(p *Params) { p.CacheSize = 64 }, "64 B line"},
+		{"24 sets", func(p *Params) { p.CacheSize = 3 << 10 }, "power of two"},
+		{"21 sets", func(p *Params) { p.CacheWays = 3 }, "power of two"},
+		{"cache above the bound", func(p *Params) { p.CacheSize = 2 * maxCacheSize }, "cache size"},
 		{"zero store threshold", func(p *Params) { p.StoreThreshold = 0 }, "store threshold"},
+		{"store threshold above the bound", func(p *Params) { p.StoreThreshold = maxStoreThreshold + 1 }, "store threshold"},
 		{"zero clwb depth", func(p *Params) { p.ClwbQueueDepth = 0 }, "clwb"},
 		{"zero rename cap", func(p *Params) { p.NvMRRenameCap = 0 }, "rename"},
 	}
@@ -54,6 +58,18 @@ func TestValidateRejectsMalformed(t *testing.T) {
 				t.Errorf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsTheBounds: the largest cache and store threshold
+// Validate allows are valid, in any power-of-two set count.
+func TestValidateAcceptsTheBounds(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 16} {
+		p := Default()
+		p.CacheSize, p.CacheWays, p.StoreThreshold = maxCacheSize, ways, maxStoreThreshold
+		if err := p.Validate(); err != nil {
+			t.Errorf("%d ways: %v", ways, err)
+		}
 	}
 }
 

@@ -2,10 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"repro/internal/arch"
 )
 
 // barChart renders a labelled horizontal ASCII bar chart, the terminal
@@ -50,17 +47,6 @@ func (r *SpeedupResult) Chart() string {
 		rows = append(rows, barRow{Label: k.String(), Value: r.GeoAll[k]})
 	}
 	return barChart(r.Title+" — geomean speedup over NVP", rows, 48)
-}
-
-// Chart renders Figure 9's relative speedups per capacitor for SweepCache.
-func (r *CapacitorSweepResult) Chart() string {
-	caps := append([]float64(nil), r.Caps...)
-	sort.Float64s(caps)
-	rows := make([]barRow, 0, len(caps))
-	for _, cf := range caps {
-		rows = append(rows, barRow{Label: capLabel(cf), Value: r.Relative[cf][arch.SweepEmptyBit]})
-	}
-	return barChart("SweepCache speedup over NVP across capacitor sizes", rows, 48)
 }
 
 // Chart renders the ablation variants side by side (RFOffice column).

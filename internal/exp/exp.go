@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -102,8 +103,7 @@ type Context struct {
 
 	// equiv maps each (kind, supply class, fingerprint of what the
 	// kind's runs read) the context has run to the raw params
-	// fingerprint of the first matrix that ran it; see equivalentFP and
-	// twinFP.
+	// fingerprint of the first matrix that ran it; see sources.
 	equivMu   sync.Mutex
 	equiv     map[equivKey]string
 	equivHits atomic.Uint64
@@ -296,111 +296,73 @@ func (c *Context) CellID(workload string, kind arch.Kind, profile *trace.Profile
 	}
 }
 
-// matrixJob is one cell's work order: what to run and the identity —
-// seed included — it runs, journals and fails under.
+// matrixJob is one cell's work order: what to run, the identity — seed
+// included — it runs, journals and fails under, and the cells whose
+// records may stand for it, in the order tried (see sources).
 type matrixJob struct {
-	w  workloads.Workload
-	k  arch.Kind
-	id journal.Cell
-	// equivFP is the raw params fingerprint of the cell's equivalent, or
-	// "" when it has none (see equivalentFP).
-	equivFP string
-	// twinFP is the raw params fingerprint of a harvested cell's
-	// outage-free twin, or "" when it has none (see twinFP); quiet is
-	// the cell's sim.QuietBudget.
-	twinFP string
-	quiet  float64
+	w    workloads.Workload
+	k    arch.Kind
+	id   journal.Cell
+	from []source
 }
 
-// equivalentFP returns the raw params fingerprint under which an earlier
-// matrix ran kind k, under the supply class of profile, reading the same
-// params as p, or "" when p (raw fingerprint fp) is the first. A scheme
-// runs with exactly kind.Params, and outage-free reads only
-// kind.OutageFreeParams, so such a cell's record is the one this matrix
-// would simulate: Fig 8's NVP, for one, never reads the cache size it
-// sweeps.
-func (c *Context) equivalentFP(k arch.Kind, profile *trace.Profile, p config.Params, fp string) string {
+// source is a cell whose record a matrix cell copies instead of
+// simulating: the same workload, scale, scheme, seed and engine under
+// supply profile (nil = outage-free) and raw params fingerprint fp. The
+// copy is exact while the source's ledger total is at most bound; hits
+// counts the cells the source served.
+type source struct {
+	profile *trace.Profile
+	fp      string
+	bound   float64
+	hits    *atomic.Uint64
+}
+
+// sources registers kind k's cells of a matrix under profile and p (raw
+// fingerprint fp) and returns their sources. The first is the
+// *equivalent*: the first matrix that ran k under the same supply class
+// reading the same params. A scheme runs with exactly kind.Params, and
+// outage-free reads only kind.OutageFreeParams, so its record is the one
+// this matrix would simulate: Fig 8's NVP, for one, never reads the
+// cache size it sweeps. Under a power trace the second is the
+// outage-free *twin*, looked up but not registered: a harvested run
+// whose twin's ledger fits sim.QuietBudget crosses no trigger and
+// retires exactly the twin's run. p is validated, so arch.New builds.
+func (c *Context) sources(k arch.Kind, profile *trace.Profile, p config.Params, fp string) []source {
 	key := newEquivKey(k, profile, p)
 	c.equivMu.Lock()
 	defer c.equivMu.Unlock()
-	first, ok := c.equiv[key]
-	if !ok {
-		if c.equiv == nil {
-			c.equiv = map[equivKey]string{}
-		}
+	if c.equiv == nil {
+		c.equiv = map[equivKey]string{}
+	}
+	var from []source
+	if first, ok := c.equiv[key]; !ok {
 		c.equiv[key] = fp
-		return ""
+	} else if first != fp {
+		from = append(from, source{profile, first, math.Inf(1), &c.equivHits})
 	}
-	if first == fp {
-		return ""
+	if twin, ok := c.equiv[newEquivKey(k, nil, p)]; ok && profile != nil {
+		from = append(from, source{nil, twin, sim.QuietBudget(arch.New(k, p)), &c.twinHits})
 	}
-	return first
+	return from
 }
 
-// twinFP returns the raw params fingerprint under which an earlier
-// matrix ran kind k outage-free reading the same params as p, or "" when
-// none did. It registers nothing: a harvested matrix only looks up.
-func (c *Context) twinFP(k arch.Kind, p config.Params) string {
-	key := newEquivKey(k, nil, p)
-	c.equivMu.Lock()
-	defer c.equivMu.Unlock()
-	return c.equiv[key]
-}
-
-// serveEquivalent returns j's record copied from its equivalent cell's,
-// if the store holds that. Reading the equivalent counts no store hit:
-// the store counts j itself as a miss.
-func (c *Context) serveEquivalent(st *store.Store, j matrixJob) (*journal.Record, bool) {
-	if j.equivFP == "" {
-		return nil, false
-	}
-	eq := j.id
-	eq.ParamsFP = j.equivFP
-	rec, ok := st.Peek(eq)
-	if !ok {
-		return nil, false
-	}
-	c.equivHits.Add(1)
-	return servedCopy(rec), true
-}
-
-// serveTwin returns harvested cell j's record copied from its outage-free
-// twin's (the same cell, outage-free, under the twin's raw params), if
-// the store holds that and the twin's ledger fits j's quiet budget: then
-// j's run crosses no trigger and retires exactly the twin's run (see
-// sim.QuietBudget). Reading the twin counts no store hit.
-func (c *Context) serveTwin(st *store.Store, j matrixJob) (*journal.Record, bool) {
-	if j.twinFP == "" {
-		return nil, false
-	}
-	tw := j.id
-	tw.Profile, tw.ParamsFP = profileName(nil), j.twinFP
-	rec, ok := st.Peek(tw)
-	if !ok || rec.Result.Ledger.Total() > j.quiet {
-		return nil, false
-	}
-	c.twinHits.Add(1)
-	return servedCopy(rec), true
-}
-
-// quietBudget returns the sim.QuietBudget of kind k's machine under p, or
-// 0 when p builds none (a cache geometry Validate passes but the cache
-// model rejects): such a cell simulates, and fails inside its worker's
-// panic isolation.
-func quietBudget(k arch.Kind, p config.Params) (budget float64) {
-	defer func() {
-		if recover() != nil {
-			budget = 0
+// serve returns j's record copied from the first of its sources the
+// store holds within the source's bound. Reading a source counts no
+// store hit: the store counts j itself as a miss. Records are immutable,
+// so the copy shares the histograms.
+func serve(st *store.Store, j matrixJob) (*journal.Record, bool) {
+	for _, src := range j.from {
+		id := j.id
+		id.Profile, id.ParamsFP = profileName(src.profile), src.fp
+		rec, ok := st.Peek(id)
+		if !ok || rec.Result.Ledger.Total() > src.bound {
+			continue
 		}
-	}()
-	return sim.QuietBudget(arch.New(k, p))
-}
-
-// servedCopy returns a new record carrying rec's result and NVM hash, for
-// a cell served from another cell's record. Records are immutable, so the
-// copy shares the histograms.
-func servedCopy(rec *journal.Record) *journal.Record {
-	return &journal.Record{Result: rec.Result, NVMHash: rec.NVMHash}
+		src.hits.Add(1)
+		return &journal.Record{Result: rec.Result, NVMHash: rec.NVMHash}, true
+	}
+	return nil, false
 }
 
 // runMatrix executes every workload on NVP plus the requested kinds under
@@ -421,11 +383,10 @@ func servedCopy(rec *journal.Record) *journal.Record {
 //     each distinct cell once. With a journal attached, completed cells
 //     are durable and re-runs serve them from disk, so any interruption
 //     (cancel, panic, kill -9) resumes to a byte-identical result.
-//   - A cell whose equivalent (the same cell under params its kind
-//     reads the same) the store already holds is served from that
-//     record, not simulated, and still stored under its own key. So is a
-//     harvested cell whose outage-free twin the store holds, when the
-//     twin's ledger fits the cell's sim.QuietBudget.
+//   - A cell one of whose sources (its equivalent, then a harvested
+//     cell's outage-free twin) the store already holds within bound is
+//     served from that record, not simulated, and still stored under its
+//     own key.
 func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params, seeds int) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
@@ -440,25 +401,17 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	}
 
 	allKinds, fp := withNVP(kinds), p.Fingerprint()
-	// What each kind's cells share: the equivalent, and under a power
-	// trace the outage-free twin and the quiet budget.
-	proto := make([]matrixJob, len(allKinds))
+	from := make([][]source, len(allKinds))
 	for i, k := range allKinds {
-		proto[i].equivFP = c.equivalentFP(k, profile, p, fp)
-		if profile != nil {
-			if proto[i].twinFP = c.twinFP(k, p); proto[i].twinFP != "" {
-				proto[i].quiet = quietBudget(k, p)
-			}
-		}
+		from[i] = c.sources(k, profile, p, fp)
 	}
 	// A cell's seeds are adjacent jobs, so its results are one subslice.
 	var jobs []matrixJob
 	for _, w := range wl {
 		for i, k := range allKinds {
 			for s := 0; s < seeds; s++ {
-				j := proto[i]
-				j.w, j.k, j.id = w, k, c.CellID(w.Name, k, profile, c.Seed+int64(s), fp)
-				jobs = append(jobs, j)
+				id := c.CellID(w.Name, k, profile, c.Seed+int64(s), fp)
+				jobs = append(jobs, matrixJob{w: w, k: k, id: id, from: from[i]})
 			}
 		}
 	}
@@ -494,10 +447,6 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	workers := min(runtime.NumCPU(), len(jobs))
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
-	var chaosPanics, chaosCancels uint64
-	if c.Chaos != nil {
-		chaosPanics, chaosCancels = c.Chaos.Panics(), c.Chaos.Cancels()
-	}
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -518,14 +467,11 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 				}
 				// The store serves a cell an earlier matrix ran from
 				// memory and a proven one from the journal; any other it
-				// copies from its equivalent or its outage-free twin or
-				// simulates once, and makes durable before returning it.
-				// Only a simulated cell is ever running.
+				// copies from one of its sources or simulates once, and
+				// makes durable before returning it. Only a simulated cell
+				// is ever running.
 				rec, tier, err := st.GetOrCompute(ctx, j.id, func(ctx context.Context) (*journal.Record, error) {
-					if rec, ok := c.serveEquivalent(st, j); ok {
-						return rec, nil
-					}
-					if rec, ok := c.serveTwin(st, j); ok {
+					if rec, ok := serve(st, j); ok {
 						return rec, nil
 					}
 					c.Tracker.Start(i, trkBase+idx)
@@ -569,19 +515,6 @@ feed:
 	}
 	close(jobCh)
 	wg.Wait()
-
-	// Fold chaos activity into the metrics accumulator.
-	if c.Metrics != nil && c.Chaos != nil {
-		snap := telemetry.NewSnapshot()
-		snap.Counters["chaos.injected_panics"] = c.Chaos.Panics() - chaosPanics
-		snap.Counters["chaos.injected_cancels"] = c.Chaos.Cancels() - chaosCancels
-		c.metricsMu.Lock()
-		err := c.Metrics.Merge(snap)
-		c.metricsMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	// Error assembly: a cancelled run reports the cancellation (wrapping
 	// ctx.Err() so errors.Is works) plus any genuine cell failures;
@@ -700,10 +633,11 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 // MetricsSnapshot returns a copy of the accumulated simulation metrics
 // merged, once the first matrix has built the store, with the store's
 // counters, exp.equivalent_hits (the cells served from an equivalent's
-// record) and exp.twin_hits (those served from an outage-free twin's).
-// It is safe to call concurrently with a running matrix — the live
-// /metrics endpoint scrapes it mid-campaign. An empty snapshot when
-// metrics accumulation is off.
+// record) and exp.twin_hits (those served from an outage-free twin's),
+// and with a chaos injector's chaos.injected_panics and
+// chaos.injected_cancels. It is safe to call concurrently with a running
+// matrix — the live /metrics endpoint scrapes it mid-campaign. An empty
+// snapshot when metrics accumulation is off.
 func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	out := telemetry.NewSnapshot()
 	if c.Metrics == nil {
@@ -717,6 +651,10 @@ func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 		_ = out.Merge(st.Stats().Metrics()) // counters and gauges only: cannot fail
 		out.Counters["exp.equivalent_hits"] = c.equivHits.Load()
 		out.Counters["exp.twin_hits"] = c.twinHits.Load()
+	}
+	if c.Chaos != nil {
+		out.Counters["chaos.injected_panics"] = c.Chaos.Panics()
+		out.Counters["chaos.injected_cancels"] = c.Chaos.Cancels()
 	}
 	return out
 }

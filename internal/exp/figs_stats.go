@@ -3,6 +3,7 @@ package exp
 import (
 	"repro/internal/arch"
 	"repro/internal/persist"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -23,7 +24,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 		return nil, err
 	}
 	r := &Fig12Result{
-		RegionSizes:     stats.NewHist(256),
+		RegionSizes:     stats.NewHist(sim.RegionHistMax),
 		StoresPerRegion: stats.NewHist(c.Params.StoreThreshold + 1),
 	}
 	for _, n := range m.Names {

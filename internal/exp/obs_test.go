@@ -14,6 +14,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // trackedCtx is a small 2×2 matrix (sha, fft × NVP, Sweep-EmptyBit)
@@ -194,5 +195,60 @@ func TestRunMatrixTrackerServedCells(t *testing.T) {
 	}
 	if p := c2.Tracker.Progress(); p.Skipped != 4 || p.Done != 0 || p.P50Ms != 0 {
 		t.Fatalf("disk-hit counts: %+v", p)
+	}
+}
+
+// TestRunMatrixTrackerCopiedCells: a cell copied from one of its
+// sources, an equivalent or an outage-free twin, ends done without ever
+// running, so it adds no latency sample; and a source the journal proved
+// before the run serves as one simulated in it would.
+func TestRunMatrixTrackerCopiedCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j1, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1.Fsync = false
+	c1, kinds := trackedCtx()
+	c1.Journal = j1
+	if _, err := c1.runMatrix(kinds, nil, c1.Params, 1); err != nil {
+		t.Fatal(err)
+	}
+	j1.Close()
+
+	j2, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	j2.Fsync = false
+	c2, kinds := trackedCtx()
+	c2.Journal = j2
+	c2.Metrics = telemetry.NewSnapshot()
+	// Table 1 outage-free comes from the journal. At 1 mF, outage-free
+	// reads the same params (every cell is served from its equivalent),
+	// and under RF-Office no cell reaches a trigger (every cell is served
+	// from its twin).
+	big := c2.Params
+	big.CapacitorF = 1e-3
+	office := trace.RFOffice
+	for _, set := range []matrixSet{{nil, c2.Params}, {nil, big}, {&office, big}} {
+		if _, err := c2.runMatrix(kinds, set.profile, set.p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := c2.MetricsSnapshot().Counters
+	if got["sim.runs"] != 0 || got["store.disk_hits"] != 4 || got["exp.equivalent_hits"] != 4 || got["exp.twin_hits"] != 4 {
+		t.Errorf("sim.runs %d, store.disk_hits %d, exp.equivalent_hits %d, exp.twin_hits %d; want 0, 4, 4 and 4",
+			got["sim.runs"], got["store.disk_hits"], got["exp.equivalent_hits"], got["exp.twin_hits"])
+	}
+	p := c2.Tracker.Progress()
+	if p.Total != 12 || p.Skipped != 4 || p.Done != 8 || p.P50Ms != 0 {
+		t.Fatalf("%d cells: %d skipped, %d done, p50 %g ms; want 12, 4, 8 and 0", p.Total, p.Skipped, p.Done, p.P50Ms)
+	}
+	for i, cp := range p.Cells {
+		if cp.DurationMs != 0 {
+			t.Errorf("cell %d (%s/%s, %s): copied, yet ran for %g ms", i, cp.Workload, cp.Scheme, cp.Profile, cp.DurationMs)
+		}
 	}
 }

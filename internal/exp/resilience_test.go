@@ -17,6 +17,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -190,6 +191,26 @@ func TestPanicIsolationAndConvergence(t *testing.T) {
 	}
 }
 
+// TestRunMatrixChaosCounters: the metrics of a chaos-injected run count
+// exactly the faults its injector threw, panics and cancellations alike.
+func TestRunMatrixChaosCounters(t *testing.T) {
+	c, kinds, pr := resilienceCtx()
+	c.Metrics = telemetry.NewSnapshot()
+	c.Chaos = chaos.New(chaos.Config{Seed: 4, PanicProb: 1, CancelAfter: 3})
+	if _, err := c.runMatrix(kinds, pr, c.Params, 1); err == nil {
+		t.Fatal("chaos-injected run reported success")
+	}
+	panics, cancels := c.Chaos.Panics(), c.Chaos.Cancels()
+	if panics < 3 || cancels != 1 {
+		t.Fatalf("injector threw %d panics and %d cancellations, want at least 3 and 1", panics, cancels)
+	}
+	got := c.MetricsSnapshot().Counters
+	if got["chaos.injected_panics"] != panics || got["chaos.injected_cancels"] != cancels {
+		t.Errorf("chaos.injected_panics %d, chaos.injected_cancels %d; the injector threw %d and %d",
+			got["chaos.injected_panics"], got["chaos.injected_cancels"], panics, cancels)
+	}
+}
+
 // TestRunMatrixNoGoroutineLeak drives the pool through cancellation and
 // panic storms and requires the process goroutine count to settle back:
 // no orphaned workers, whatever the exit path.
@@ -246,21 +267,24 @@ func TestRunMatrixInputValidation(t *testing.T) {
 		t.Errorf("empty workload set: err = %v", err)
 	}
 
-	// A cache geometry Validate passes but the cache model rejects (24
-	// sets, not a power of two) panics each cached cell's machine: every
-	// such cell fails as a *CellError carrying the panic's stack, under a
-	// power trace too, where the outage-free matrix before it made the
-	// cells' twins known to the context.
-	c3, _, pr := resilienceCtx()
+	// A cache the cache model cannot build (3 KiB in 2 ways: 24 sets,
+	// not a power of two) is malformed params too: the matrix fails with
+	// a config error before it builds its store or spawns a worker,
+	// outage-free and under a power trace alike.
+	c3, _, _ := resilienceCtx()
 	c3.Only = []string{"sha"}
 	p = c3.Params
 	p.CacheSize = 3 << 10
-	for _, profile := range []*trace.Profile{nil, pr} {
+	office := trace.RFOffice
+	for _, profile := range []*trace.Profile{nil, &office} {
 		_, err := c3.runMatrix([]arch.Kind{arch.NVSRAM}, profile, p, 1)
 		var ce *CellError
-		if !errors.As(err, &ce) || ce.Stack == nil || ce.Scheme != arch.NVSRAM.String() {
+		if err == nil || !strings.Contains(err.Error(), "config:") || errors.As(err, &ce) {
 			t.Errorf("unbuildable cache under %s: err = %v", profileName(profile), err)
 		}
+	}
+	if c3.cells.Load() != nil {
+		t.Error("a refused matrix built the context's store")
 	}
 }
 

@@ -2,13 +2,15 @@ package fuzz
 
 // Fuzz target for the -params decoding path: arbitrary bytes must never
 // panic the decoder, and anything it accepts must be a configuration the
-// validator also accepts (the property cmd/sweepexp and cmd/sweepsim rely
-// on before handing params to the engine). Accepted inputs must also
-// fingerprint deterministically — the journal keys cells by it.
+// validator also accepts and every kind builds from without a panic (the
+// property cmd/sweepexp, cmd/sweepsim and sweepd rely on before handing
+// params to the engine). Accepted inputs must also fingerprint
+// deterministically — the journal keys cells by it.
 
 import (
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/config"
 )
 
@@ -23,6 +25,8 @@ func FuzzParamsJSON(f *testing.F) {
 	f.Add([]byte(`{"CapacitorF": 1e-9} {"CapacitorF": 2e-9}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"CacheSize":3072}`))
+	f.Add([]byte(`{"CacheWays":3}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := config.FromJSON(data)
 		if err != nil {
@@ -33,6 +37,9 @@ func FuzzParamsJSON(f *testing.F) {
 		}
 		if p.Fingerprint() != p.Fingerprint() {
 			t.Fatal("fingerprint not deterministic")
+		}
+		for _, k := range arch.AllKinds() {
+			arch.New(k, p)
 		}
 	})
 }

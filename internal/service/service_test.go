@@ -141,10 +141,12 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceValidation: requests naming things that don't exist are
-// 400s, not simulations or 500s.
+// TestServiceValidation: requests naming things that don't exist, or
+// params no machine can be built from, are 400s, not simulations or
+// 500s. A 3 KiB 2-way cache has 24 sets, which the cache model cannot
+// build; NVSRAM shows it, where NVP's params would reset the geometry.
 func TestServiceValidation(t *testing.T) {
-	_, _, cl := startService(t, "")
+	svc, _, cl := startService(t, "")
 	for name, req := range map[string]service.CellRequest{
 		"unknown workload": {Workload: "nope", Scheme: "NVP"},
 		"unknown scheme":   {Workload: "sha", Scheme: "nope"},
@@ -152,10 +154,16 @@ func TestServiceValidation(t *testing.T) {
 		"missing workload": {Scheme: "NVP"},
 		"bad params":       {Workload: "sha", Scheme: "NVP", Params: []byte(`{"NoSuchKnob":1}`)},
 		"invalid params":   {Workload: "sha", Scheme: "NVP", Params: []byte(`{"Vmax":-1}`)},
+		"oversized cache":  {Workload: "sha", Scheme: "NVSRAM", Params: []byte(`{"CacheSize":1073741824}`)},
+		"oversized buffer": {Workload: "sha", Scheme: "Sweep-EmptyBit", Params: []byte(`{"StoreThreshold":1073741824}`)},
+		"24 cache sets":    {Workload: "sha", Scheme: "NVSRAM", Profile: "RFOffice", Params: []byte(`{"CacheSize":3072}`)},
 	} {
 		if _, err := cl.Cell(context.Background(), req); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("%s: err = %v, want a 400", name, err)
 		}
+	}
+	if st := svc.Store().Stats(); st.Misses != 0 {
+		t.Errorf("store.misses %d, want 0: a rejected request reached a simulation", st.Misses)
 	}
 }
 

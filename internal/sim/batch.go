@@ -10,16 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// BatchOptions configures one RunBatch call. The per-run knobs carry
-// Options' semantics and apply to every lane uniformly.
+// BatchOptions configures one RunBatch call.
 type BatchOptions struct {
 	// Sources holds one power trace per lane (same length as the scheme
 	// slice).
-	Sources         []trace.Source
-	Ctx             context.Context
-	MaxInstructions uint64
-	StagnationNs    int64
-	RegionHistMax   int
+	Sources []trace.Source
+	// Ctx carries Options.Ctx's semantics for every lane.
+	Ctx context.Context
 }
 
 // RunBatch runs the linked program once per scheme, lane i drawing power
@@ -59,13 +56,7 @@ func RunBatch(l *ir.Linked, schemes []arch.Scheme, opt BatchOptions) ([]*Result,
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	for i, s := range schemes {
-		res, err := Run(l, s, Options{
-			Source:          opt.Sources[i],
-			Ctx:             opt.Ctx,
-			MaxInstructions: opt.MaxInstructions,
-			StagnationNs:    opt.StagnationNs,
-			RegionHistMax:   opt.RegionHistMax,
-		})
+		res, err := Run(l, s, Options{Source: opt.Sources[i], Ctx: opt.Ctx})
 		if res == nil {
 			// Run rejected the configuration every lane shares.
 			return nil, nil, err

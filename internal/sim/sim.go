@@ -40,6 +40,11 @@ import (
 // (TestFastPathGolden) are deliberately regenerated.
 const EngineVersion = "engine-v3-fastpath"
 
+// RegionHistMax is the largest region size, in instructions, that a
+// run's region-size histogram gives a bucket; longer regions count as
+// its overflow.
+const RegionHistMax = 256
+
 // Options configures one run.
 type Options struct {
 	// Source is the power trace; nil runs outage-free with an ideal
@@ -53,8 +58,6 @@ type Options struct {
 	MaxInstructions uint64
 	// StagnationNs bounds one recharge wait. 0 means 60 s.
 	StagnationNs int64
-	// RegionHistMax bounds the region-size histogram. 0 means 256.
-	RegionHistMax int
 	// Tracer receives the run's telemetry events; nil (the default)
 	// disables tracing at the cost of one branch per emit site.
 	Tracer *telemetry.Tracer
@@ -527,9 +530,6 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	if opt.StagnationNs == 0 {
 		opt.StagnationNs = 60_000_000_000
 	}
-	if opt.RegionHistMax == 0 {
-		opt.RegionHistMax = 256
-	}
 
 	InitNVM(s, l)
 	s.SetTracer(opt.Tracer)
@@ -548,7 +548,7 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 		led:    s.Ledger(),
 		cap:    energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
 		tr:     opt.Tracer,
-		res:    &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
+		res:    &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(RegionHistMax)},
 		timing: cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
 		armed:  true,
 	}

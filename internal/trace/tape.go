@@ -77,28 +77,6 @@ type tapeKey struct {
 	seed int64
 }
 
-// SetTapeCacheCap sets the shared tape cache's maximum entry count and
-// returns the previous cap, evicting least-recently-used tapes if the
-// cache currently exceeds the new cap. Caps below 1 are clamped to 1.
-func SetTapeCacheCap(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	tapesMu.Lock()
-	defer tapesMu.Unlock()
-	prev := tapeCap
-	tapeCap = n
-	evictLocked()
-	return prev
-}
-
-// TapeCacheLen reports the number of memoized timelines currently cached.
-func TapeCacheLen() int {
-	tapesMu.Lock()
-	defer tapesMu.Unlock()
-	return len(tapes)
-}
-
 // FlushSharedTapes drops every cached timeline. Outstanding replays keep
 // working; subsequent NewShared calls regenerate from scratch.
 func FlushSharedTapes() {

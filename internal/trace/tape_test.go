@@ -5,6 +5,23 @@ import "testing"
 // drainSeg pulls the first segment from a source.
 func drainSeg(s Source) (int64, float64) { return s.Next() }
 
+// setTapeCap sets the shared tape cache's cap and returns the previous
+// one.
+func setTapeCap(n int) int {
+	tapesMu.Lock()
+	defer tapesMu.Unlock()
+	prev := tapeCap
+	tapeCap = n
+	return prev
+}
+
+// tapeCacheLen returns how many timelines the shared cache holds.
+func tapeCacheLen() int {
+	tapesMu.Lock()
+	defer tapesMu.Unlock()
+	return len(tapes)
+}
+
 func TestSharedTapeMatchesFresh(t *testing.T) {
 	FlushSharedTapes()
 	shared := NewShared(RFHome, 7)
@@ -20,25 +37,25 @@ func TestSharedTapeMatchesFresh(t *testing.T) {
 
 func TestTapeCacheBounded(t *testing.T) {
 	FlushSharedTapes()
-	prev := SetTapeCacheCap(8)
-	defer SetTapeCacheCap(prev)
+	prev := setTapeCap(8)
+	defer setTapeCap(prev)
 	defer FlushSharedTapes()
 
 	for seed := int64(1); seed <= 100; seed++ {
 		NewShared(RFHome, seed)
-		if n := TapeCacheLen(); n > 8 {
+		if n := tapeCacheLen(); n > 8 {
 			t.Fatalf("cache grew to %d entries with cap 8", n)
 		}
 	}
-	if n := TapeCacheLen(); n != 8 {
+	if n := tapeCacheLen(); n != 8 {
 		t.Fatalf("cache holds %d entries after 100 inserts with cap 8, want 8", n)
 	}
 }
 
 func TestTapeCacheLRUOrder(t *testing.T) {
 	FlushSharedTapes()
-	prev := SetTapeCacheCap(2)
-	defer SetTapeCacheCap(prev)
+	prev := setTapeCap(2)
+	defer setTapeCap(prev)
 	defer FlushSharedTapes()
 
 	a := NewShared(Solar, 1) // cache: {1}

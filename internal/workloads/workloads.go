@@ -42,9 +42,6 @@ type Workload struct {
 	Name  string
 	Suite string // "mediabench" or "mibench"
 	Build func(scale int) *ir.Program
-	// CheckAddr is filled by the builder machinery: the NVM address of
-	// the kernel's final checksum word.
-	checkAddr int64
 }
 
 // CheckAddr returns the NVM address of the checksum the kernel writes last.
