@@ -1,8 +1,10 @@
 // Package compiler implements the SweepCache compiler (Section 4.1): region
 // formation guided by the persist-buffer size, live-out register
-// checkpointing, loop unrolling, and the EH-model long-region split — plus
-// the ReplayCache lowering (clwb after every store, fence at region ends)
-// and a plain mode used by the JIT-checkpoint baselines.
+// checkpointing and loop unrolling — plus the ReplayCache lowering (clwb
+// after every store, fence at region ends) and a plain mode used by the
+// JIT-checkpoint baselines. Every loop header is a region boundary, which
+// bounds a region's length but not its energy; the paper's EH-model split
+// of regions too costly for one capacitor charge is not implemented.
 //
 // Region boundaries are materialized as instruction sequences at the start
 // of every region-head block:
@@ -65,31 +67,22 @@ type Options struct {
 	// 1 disables unrolling. Defaults to 6.
 	UnrollCap int
 
-	// UnrollMaxBodyInstrs skips unrolling of loop bodies larger than
-	// this. Defaults to 160.
-	UnrollMaxBodyInstrs int
-
 	// DisablePeephole skips the dead-code peephole cleanup that normally
 	// runs before region formation in sweep and replay modes.
 	DisablePeephole bool
 
 	// InlineSmallFuncs enables the Section 5 future-work optimization:
-	// leaf functions up to InlineMaxInstrs instructions are inlined at
+	// leaf functions up to inlineMaxInstrs instructions are inlined at
 	// their callsites, removing un-mergeable callsite boundaries.
 	InlineSmallFuncs bool
-	// InlineMaxInstrs bounds inlinable callee size. Defaults to 48.
-	InlineMaxInstrs int
-
-	// MaxRegionEnergy, when positive, enables the EH-model forward
-	// progress check (Section 4.1): regions whose worst-case energy
-	// estimate exceeds it are split. Units are arbitrary but must match
-	// EnergyPerInstr/EnergyPerStore.
-	MaxRegionEnergy float64
-	// EnergyPerInstr and EnergyPerStore parameterize the worst-case
-	// region energy estimate.
-	EnergyPerInstr float64
-	EnergyPerStore float64
 }
+
+const (
+	// unrollMaxBodyInstrs skips unrolling of loop bodies larger than this.
+	unrollMaxBodyInstrs = 160
+	// inlineMaxInstrs bounds inlinable callee size.
+	inlineMaxInstrs = 48
+)
 
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
@@ -98,12 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UnrollCap == 0 {
 		o.UnrollCap = 6
-	}
-	if o.UnrollMaxBodyInstrs == 0 {
-		o.UnrollMaxBodyInstrs = 160
-	}
-	if o.InlineMaxInstrs == 0 {
-		o.InlineMaxInstrs = 48
 	}
 	return o
 }
@@ -119,7 +106,6 @@ type Stats struct {
 	InlinedCalls  int   // callsites inlined (Section 5 optimization)
 	DeadRemoved   int   // dead instructions removed by the peephole pass
 	SplitBoundary int   // boundaries added by store-threshold splitting
-	EnergySplits  int   // boundaries added by the EH-model check
 	StaticInstrs  int   // linked code size
 	MaxPathStores []int // per region, worst-case store count incl. boundary stores
 	RegionSizeMax []int // per region, worst-case instruction count
@@ -149,7 +135,7 @@ func Compile(p *ir.Program, opt Options) (*Result, error) {
 			st.DeadRemoved = peephole(p)
 		}
 		if opt.InlineSmallFuncs {
-			st.InlinedCalls = inlineSmallFuncs(p, opt.InlineMaxInstrs)
+			st.InlinedCalls = inlineSmallFuncs(p)
 		}
 		if opt.UnrollCap > 1 {
 			st.UnrolledLoops = unrollLoops(p, opt)

@@ -264,36 +264,6 @@ func TestFunctionEntryCheckpointsLR(t *testing.T) {
 	_ = res
 }
 
-func TestEHModelSplitsLongRegions(t *testing.T) {
-	// One long straight-line block, no loop: without the EH check it is
-	// a single region.
-	p := ir.NewProgram("t")
-	f := p.NewFunc("main")
-	arr := p.Alloc(4096)
-	en := f.Entry()
-	en.MovI(2, arr)
-	for i := 0; i < 200; i++ {
-		en.AddI(3, 3, 1)
-	}
-	en.St(2, 0, 3)
-	en.Halt()
-	res, err := Compile(p, Options{
-		Mode: ModeSweep, StoreThreshold: 64,
-		MaxRegionEnergy: 50, EnergyPerInstr: 1, EnergyPerStore: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.EnergySplits == 0 {
-		t.Error("EH model did not split a 200-instruction region with budget 50")
-	}
-	for _, n := range res.Stats.RegionSizeMax {
-		if n > 120 {
-			t.Errorf("region still too long: %d insts", n)
-		}
-	}
-}
-
 func TestCompileStatsPopulated(t *testing.T) {
 	w, err := workloads.ByName("sha")
 	if err != nil {
@@ -415,7 +385,7 @@ func TestInliningRespectsSizeBound(t *testing.T) {
 	cont.MovI(3, ir.DataBase)
 	cont.St(3, 0, 2)
 	cont.Halt()
-	res, err := Compile(p, Options{Mode: ModeSweep, InlineSmallFuncs: true, InlineMaxInstrs: 48})
+	res, err := Compile(p, Options{Mode: ModeSweep, InlineSmallFuncs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

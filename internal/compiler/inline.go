@@ -21,13 +21,13 @@ import (
 // lr as data.
 //
 // Returns the number of callsites inlined.
-func inlineSmallFuncs(p *ir.Program, maxInstrs int) int {
+func inlineSmallFuncs(p *ir.Program) int {
 	n := 0
 	for _, f := range p.Funcs {
 		// Collect callsites first: inlining appends blocks.
 		var sites []*ir.Block
 		for _, b := range f.Blocks {
-			if b.Terminator().Op == isa.OpCall && inlinable(b.CallTarget, maxInstrs, p) {
+			if b.Terminator().Op == isa.OpCall && inlinable(b.CallTarget, p) {
 				sites = append(sites, b)
 			}
 		}
@@ -39,7 +39,7 @@ func inlineSmallFuncs(p *ir.Program, maxInstrs int) int {
 	return n
 }
 
-func inlinable(callee *ir.Function, maxInstrs int, p *ir.Program) bool {
+func inlinable(callee *ir.Function, p *ir.Program) bool {
 	if callee == p.Entry {
 		return false
 	}
@@ -50,7 +50,7 @@ func inlinable(callee *ir.Function, maxInstrs int, p *ir.Program) bool {
 			return false // not a leaf
 		}
 	}
-	return total <= maxInstrs
+	return total <= inlineMaxInstrs
 }
 
 // inlineCall splices a clone of b.CallTarget into b's function, replacing

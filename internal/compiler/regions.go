@@ -20,10 +20,12 @@ type region struct {
 func (r *region) contains(b *ir.Block) bool { return r.member[b] }
 
 // formRegions implements Section 4.1. When sweep is true the full pipeline
-// runs: the fixpoint of {checkpoint insertion, store-threshold splitting},
-// the EH-model split, and boundary-code insertion. When sweep is false only
-// the initial boundaries (function entries, call continuations, loop
-// headers) are computed and marked, which is what ReplayCache needs.
+// runs: the fixpoint of {checkpoint insertion, store-threshold splitting}
+// and boundary-code insertion. Every boundary is placed inside the
+// fixpoint, so every region's live-out registers are checkpointed and
+// every boundary is a recovery point. When sweep is false only the initial
+// boundaries (function entries, call continuations, loop headers) are
+// computed and marked, which is what ReplayCache needs.
 func formRegions(p *ir.Program, opt Options, st *Stats, sweep bool) error {
 	heads := initialHeads(p)
 
@@ -55,14 +57,6 @@ func formRegions(p *ir.Program, opt Options, st *Stats, sweep bool) error {
 			st.CkptStores = insertCkpts(lv, regions, heads)
 			if !splitOverThreshold(heads, regions, eff, st) {
 				break
-			}
-		}
-		if opt.MaxRegionEnergy > 0 {
-			for {
-				regions := buildRegions(p, heads)
-				if !splitOverEnergy(heads, regions, opt, st) {
-					break
-				}
 			}
 		}
 	}
@@ -107,12 +101,13 @@ func formRegions(p *ir.Program, opt Options, st *Stats, sweep bool) error {
 // initialHeads computes the paper's initial boundary set: every function
 // entry, every call continuation, and every loop header. The paper's
 // Section 4.1 footnote exempts loops without stores from the header
-// boundary — the persist buffer cannot overflow there — but its EH-model
-// forward-progress requirement (a region must be executable within one
-// capacitor charge) re-imposes it: a store-free loop of unknown trip count
-// inside a region makes that region's worst-case execution unbounded, so
-// rollback recovery could livelock on a small capacitor. Bounding every
-// loop keeps forward progress guaranteed for any capacitor size.
+// boundary — the persist buffer cannot overflow there — but a store-free
+// loop of unknown trip count inside a region would make that region's
+// worst-case length unbounded, so every loop header is a boundary here.
+// That bounds a region's length but not its energy: the EH-model split
+// (a region must be executable within one capacitor charge) is not
+// implemented, and a capacitor too small for some region can livelock a
+// Sweep run.
 func initialHeads(p *ir.Program) map[*ir.Block]bool {
 	heads := map[*ir.Block]bool{}
 	for _, f := range p.Funcs {
@@ -322,39 +317,6 @@ func splitIndexAfterStores(b *ir.Block, n int) int {
 		}
 	}
 	return len(b.Instrs) - 1
-}
-
-// splitOverEnergy applies the EH-model forward-progress check: a region
-// whose worst-case energy estimate exceeds the budget is cut at the middle
-// of its heaviest path so it can complete within one capacitor charge.
-func splitOverEnergy(heads map[*ir.Block]bool, regions []*region, opt Options, st *Stats) bool {
-	split := false
-	for _, r := range regions {
-		stores, instrs := maxPath(r)
-		e := float64(instrs)*opt.EnergyPerInstr + float64(stores)*opt.EnergyPerStore
-		if e <= opt.MaxRegionEnergy {
-			continue
-		}
-		path := heaviestPath(r)
-		if len(path) >= 2 {
-			mid := path[len(path)/2]
-			if mid != r.head && !heads[mid] {
-				heads[mid] = true
-				st.EnergySplits++
-				split = true
-				continue
-			}
-		}
-		// Single-block region: split the block in half.
-		b := path[0]
-		if len(b.Instrs) >= 3 {
-			nb := b.Fn.SplitAt(b, len(b.Instrs)/2)
-			heads[nb] = true
-			st.EnergySplits++
-			split = true
-		}
-	}
-	return split
 }
 
 // stripCkpts removes previously inserted checkpoint stores so the fixpoint

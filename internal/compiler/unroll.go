@@ -34,7 +34,7 @@ func unrollLoops(p *ir.Program, opt Options) int {
 				continue
 			}
 			spi, instrs := loopWeight(lp)
-			if instrs > opt.UnrollMaxBodyInstrs {
+			if instrs > unrollMaxBodyInstrs {
 				continue
 			}
 			// Store-free loops still carry a header boundary (see

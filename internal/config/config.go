@@ -279,6 +279,12 @@ const (
 	maxStoreThreshold = 4096
 )
 
+// minStoreThreshold is the least store threshold the Sweep compiler can
+// honour: a region's boundary charges up to two stores of its own (save.pc,
+// and the lr checkpoint at a function entry) to the ending region's buffer,
+// on top of at least one program or checkpoint store.
+const minStoreThreshold = 3
+
 // Validate reports the first scheme-independent inconsistency in p as a
 // descriptive error, instead of letting a malformed configuration surface
 // downstream as a NaN energy ledger, a cache-geometry panic, or an
@@ -352,8 +358,8 @@ func (p Params) Validate() error {
 	if sets := p.CacheSize / 64 / p.CacheWays; sets&(sets-1) != 0 {
 		return fmt.Errorf("config: cache of %d B in %d ways has %d sets, not a power of two", p.CacheSize, p.CacheWays, sets)
 	}
-	if p.StoreThreshold <= 0 {
-		return fmt.Errorf("config: non-positive store threshold %d — persist buffers need capacity", p.StoreThreshold)
+	if p.StoreThreshold < minStoreThreshold {
+		return fmt.Errorf("config: store threshold %d below %d entries — a region's boundary stores need room beside its own", p.StoreThreshold, minStoreThreshold)
 	}
 	if p.StoreThreshold > maxStoreThreshold {
 		return fmt.Errorf("config: store threshold %d above %d entries", p.StoreThreshold, maxStoreThreshold)

@@ -42,6 +42,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"21 sets", func(p *Params) { p.CacheWays = 3 }, "power of two"},
 		{"cache above the bound", func(p *Params) { p.CacheSize = 2 * maxCacheSize }, "cache size"},
 		{"zero store threshold", func(p *Params) { p.StoreThreshold = 0 }, "store threshold"},
+		{"store threshold 1", func(p *Params) { p.StoreThreshold = 1 }, "boundary stores"},
+		{"store threshold 2", func(p *Params) { p.StoreThreshold = 2 }, "boundary stores"},
 		{"store threshold above the bound", func(p *Params) { p.StoreThreshold = maxStoreThreshold + 1 }, "store threshold"},
 		{"zero clwb depth", func(p *Params) { p.ClwbQueueDepth = 0 }, "clwb"},
 		{"zero rename cap", func(p *Params) { p.NvMRRenameCap = 0 }, "rename"},
@@ -62,7 +64,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 }
 
 // TestValidateAcceptsTheBounds: the largest cache and store threshold
-// Validate allows are valid, in any power-of-two set count.
+// Validate allows are valid, in any power-of-two set count, and so is the
+// least store threshold.
 func TestValidateAcceptsTheBounds(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 16} {
 		p := Default()
@@ -70,6 +73,11 @@ func TestValidateAcceptsTheBounds(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%d ways: %v", ways, err)
 		}
+	}
+	p := Default()
+	p.StoreThreshold = 3
+	if err := p.Validate(); err != nil {
+		t.Errorf("store threshold 3: %v", err)
 	}
 }
 

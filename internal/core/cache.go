@@ -40,7 +40,7 @@ func KeyFor(workload string, scale int, kind arch.Kind, p config.Params) Compile
 
 // CompileCache memoizes compiler results across an experiment matrix.
 // A compiler.Result is immutable once linked — the engine only reads
-// Code/Dec/Prog.Inits — so one entry is safely shared by concurrent
+// Code/Dec/Image — so one entry is safely shared by concurrent
 // simulations. Each key compiles exactly once even under concurrent
 // lookups (per-entry sync.Once).
 type CompileCache struct {

@@ -64,10 +64,11 @@ func RunCompiled(cres *compiler.Result, kind arch.Kind, p config.Params, src tra
 }
 
 // RunCompiledCtx is RunCompiled under a cancellation context. Params are
-// validated before the machine is constructed, and arch.New builds every
-// kind from a validated set, so malformed inputs (cache geometry and
-// sizes included) surface as descriptive errors here rather than panics
-// inside arch.New.
+// validated before the machine is constructed, arch.New builds every kind
+// from a validated set, and the engine refuses a program whose data does
+// not fit the NVM before it boots, so malformed inputs (cache geometry,
+// sizes, a store threshold the compiler cannot honour, an NVM smaller than
+// the program) surface as descriptive errors here rather than panics.
 func RunCompiledCtx(ctx context.Context, cres *compiler.Result, kind arch.Kind, p config.Params, src trace.Source, tr *telemetry.Tracer) (*sim.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("core: params for %v: %w", kind, err)

@@ -27,6 +27,8 @@ func FuzzParamsJSON(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{"CacheSize":3072}`))
 	f.Add([]byte(`{"CacheWays":3}`))
+	f.Add([]byte(`{"StoreThreshold":2}`))
+	f.Add([]byte(`{"NVMSize":4096}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := config.FromJSON(data)
 		if err != nil {

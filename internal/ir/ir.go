@@ -10,6 +10,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -41,18 +42,20 @@ type Program struct {
 	Entry *Function
 
 	// DataSize is the number of bytes of global data allocated past
-	// DataBase. Inits lists words to pre-load into NVM before execution.
+	// DataBase. Inits holds the data to pre-load into NVM before
+	// execution as byte runs, in init order: an init that starts where
+	// the last run ends extends it, so a later init of the same address
+	// still wins when the runs are loaded in turn.
 	DataSize int64
-	Inits    []DataInit
+	Inits    []ImageRun
 
 	nextAlloc int64
 }
 
-// DataInit pre-loads one value into NVM before the program runs.
-type DataInit struct {
+// ImageRun is a contiguous byte run of a program's initial NVM image.
+type ImageRun struct {
 	Addr int64
-	Val  int64
-	Byte bool // if set, only the low byte is written
+	Data []byte
 }
 
 // Function is a named sequence of basic blocks. Blocks[0] is the entry.
@@ -121,12 +124,24 @@ func (p *Program) Alloc(size int64) int64 {
 
 // InitWord records a 64-bit word to pre-load into NVM at addr.
 func (p *Program) InitWord(addr, val int64) {
-	p.Inits = append(p.Inits, DataInit{Addr: addr, Val: val})
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], uint64(val))
+	p.initBytes(addr, w[:])
 }
 
 // InitByte records a byte to pre-load into NVM at addr.
 func (p *Program) InitByte(addr int64, val byte) {
-	p.Inits = append(p.Inits, DataInit{Addr: addr, Val: int64(val), Byte: true})
+	p.initBytes(addr, []byte{val})
+}
+
+func (p *Program) initBytes(addr int64, b []byte) {
+	if n := len(p.Inits); n > 0 {
+		if last := &p.Inits[n-1]; last.Addr+int64(len(last.Data)) == addr {
+			last.Data = append(last.Data, b...)
+			return
+		}
+	}
+	p.Inits = append(p.Inits, ImageRun{addr, append([]byte(nil), b...)})
 }
 
 // InitWords pre-loads consecutive words starting at base.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -204,8 +205,38 @@ func TestAllocLayout(t *testing.T) {
 		t.Errorf("data size = %d", p.DataSize)
 	}
 	base := p.AllocWords([]int64{7, 8})
-	if len(p.Inits) != 2 || p.Inits[0].Addr != base || p.Inits[1].Val != 8 {
+	if len(p.Inits) != 1 || p.Inits[0].Addr != base || len(p.Inits[0].Data) != 16 || p.Inits[0].Data[8] != 8 {
 		t.Errorf("inits: %+v", p.Inits)
+	}
+}
+
+// TestLinkBuildsImage: the linked image holds the data inits, coalesced
+// into byte runs in init order, then the recovery PC slot.
+func TestLinkBuildsImage(t *testing.T) {
+	p, _ := twoBlockProgram(t)
+	base := p.AllocWords([]int64{7, 8}) // one 16-byte run
+	p.InitByte(p.Alloc(8), 9)           // adjacent: extends it
+	far := p.Alloc(16) + 8
+	p.InitWord(far, -1) // past a hole: a new run
+	p.InitWord(base, 5) // a re-init: its own run, loaded later
+	l, err := Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	want := []ImageRun{
+		{base, append(append(word(7), word(8)...), 9)},
+		{far, word(-1)},
+		{base, word(5)},
+		{PCSlotAddr, word(int64(l.EntryPC))},
+	}
+	if len(l.Image) != len(want) {
+		t.Fatalf("image has %d runs, want %d: %+v", len(l.Image), len(want), l.Image)
+	}
+	for i, r := range l.Image {
+		if r.Addr != want[i].Addr || string(r.Data) != string(want[i].Data) {
+			t.Errorf("run %d = %#x %v, want %#x %v", i, r.Addr, r.Data, want[i].Addr, want[i].Data)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -23,13 +24,17 @@ type Linked struct {
 	// PCBlock[pc] is the block the instruction at pc was emitted from;
 	// synthetic fall-through jumps belong to the block they follow.
 	PCBlock []*Block
+	// Image is the initial NVM contents every run of the binary boots
+	// from, as byte runs loaded in order: Prog.Inits, then the recovery
+	// PC slot holding EntryPC.
+	Image []ImageRun
 }
 
 // Link lays out blocks in creation order per function, resolves branch,
 // jump, and call targets, inserts fall-through jumps where the layout
-// requires them, and patches every save.pc immediate with the PC of the
+// requires them, patches every save.pc immediate with the PC of the
 // instruction that follows its region.end (the next region's first real
-// instruction).
+// instruction), and builds the initial NVM image.
 func Link(p *Program) (*Linked, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -79,6 +84,10 @@ func Link(p *Program) (*Linked, error) {
 	}
 	l.EntryPC = l.FuncStart[p.Entry.Idx]
 	l.Dec = isa.Predecode(l.Code)
+	slot := binary.LittleEndian.AppendUint64(nil, uint64(l.EntryPC))
+	// The full slice expression makes the append copy, so p.Inits is
+	// never extended in place.
+	l.Image = append(p.Inits[:len(p.Inits):len(p.Inits)], ImageRun{PCSlotAddr, slot})
 	return l, nil
 }
 

@@ -232,6 +232,13 @@ func (s *Service) parse(req CellRequest) (*cellSpec, error) {
 	if scale < 0 {
 		return nil, badRequest("negative scale %d", scale)
 	}
+	// A build allocates data in proportion to its scale, and an
+	// allocation the runtime cannot satisfy kills the daemon, so a scale
+	// past the one every workload fits Table 1's NVM at is refused before
+	// anything is built.
+	if scale > workloads.MaxScale {
+		return nil, badRequest("scale %d above %d", scale, workloads.MaxScale)
+	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1

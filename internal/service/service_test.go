@@ -157,6 +157,8 @@ func TestServiceValidation(t *testing.T) {
 		"oversized cache":  {Workload: "sha", Scheme: "NVSRAM", Params: []byte(`{"CacheSize":1073741824}`)},
 		"oversized buffer": {Workload: "sha", Scheme: "Sweep-EmptyBit", Params: []byte(`{"StoreThreshold":1073741824}`)},
 		"24 cache sets":    {Workload: "sha", Scheme: "NVSRAM", Profile: "RFOffice", Params: []byte(`{"CacheSize":3072}`)},
+		"scale past NVM":   {Workload: "jpegdec", Scheme: "NVP", Scale: workloads.MaxScale + 1},
+		"huge scale":       {Workload: "sha", Scheme: "NVP", Scale: 1 << 40},
 	} {
 		if _, err := cl.Cell(context.Background(), req); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("%s: err = %v, want a 400", name, err)

@@ -16,7 +16,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -287,63 +286,13 @@ const cancelPollInterval = 1024
 // extra call overhead vanishes (one call per ~1M instructions).
 const cancelChunkInstrs = 1 << 20
 
-// InitNVM loads the program's data image and recovery PC slot into the
-// scheme's NVM.
+// InitNVM loads the program's initial NVM image (its data inits and the
+// recovery PC slot, built once by ir.Link) into the scheme's NVM.
 func InitNVM(s arch.Scheme, l *ir.Linked) {
 	nvm := s.NVM()
-	for _, run := range linkedImage(l) {
-		nvm.PokeImage(run.addr, run.data)
+	for _, run := range l.Image {
+		nvm.PokeImage(run.Addr, run.Data)
 	}
-}
-
-// imageRun is a contiguous byte run of a program's initial NVM image.
-type imageRun struct {
-	addr int64
-	data []byte
-}
-
-// imageCache memoizes the coalesced NVM image per linked program: the
-// image is a pure function of the Linked (data inits plus the recovery PC
-// slot), and a matrix or seed sweep boots the same program many times, so
-// each boot after the first is a handful of bulk copies instead of a poke
-// per word. The map holds strong references, which also guarantees a cached
-// pointer key cannot be recycled for a different program; the reset cap
-// bounds the footprint.
-var imageCache struct {
-	sync.Mutex
-	m map[*ir.Linked][]imageRun
-}
-
-func linkedImage(l *ir.Linked) []imageRun {
-	imageCache.Lock()
-	defer imageCache.Unlock()
-	if runs, ok := imageCache.m[l]; ok {
-		return runs
-	}
-	var runs []imageRun
-	add := func(addr int64, b ...byte) {
-		if n := len(runs); n > 0 && runs[n-1].addr+int64(len(runs[n-1].data)) == addr {
-			runs[n-1].data = append(runs[n-1].data, b...)
-			return
-		}
-		runs = append(runs, imageRun{addr, append([]byte(nil), b...)})
-	}
-	var w [8]byte
-	for _, di := range l.Prog.Inits {
-		if di.Byte {
-			add(di.Addr, byte(di.Val))
-		} else {
-			binary.LittleEndian.PutUint64(w[:], uint64(di.Val))
-			add(di.Addr, w[:]...)
-		}
-	}
-	binary.LittleEndian.PutUint64(w[:], uint64(l.EntryPC))
-	add(ir.PCSlotAddr, w[:]...)
-	if imageCache.m == nil || len(imageCache.m) >= 64 {
-		imageCache.m = map[*ir.Linked][]imageRun{}
-	}
-	imageCache.m[l] = runs
-	return runs
 }
 
 // eTableCache shares the tabulated per-latency instruction energies across
@@ -523,6 +472,9 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 		if err := p.ValidateJIT(); err != nil {
 			return nil, fmt.Errorf("sim: invalid params for %s: %w", s.Name(), err)
 		}
+	}
+	if end := ir.DataBase + l.Prog.DataSize; end > p.NVMSize {
+		return nil, fmt.Errorf("sim: %s's data ends at byte %d, past the %d B NVM of %s", l.Prog.Name, end, p.NVMSize, s.Name())
 	}
 	if opt.MaxInstructions == 0 {
 		opt.MaxInstructions = 2_000_000_000

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -181,15 +182,36 @@ func TestInitNVMLoadsImage(t *testing.T) {
 	if s.NVM().PeekWord(ir.PCSlotAddr) != int64(l.EntryPC) {
 		t.Error("PC slot not initialized")
 	}
-	found := false
-	for _, di := range l.Prog.Inits {
-		if !di.Byte && s.NVM().PeekWord(di.Addr) == di.Val && di.Val != 0 {
-			found = true
-			break
+	want := map[int64]byte{} // the linked image, later runs winning
+	for _, run := range l.Image {
+		for i, b := range run.Data {
+			want[run.Addr+int64(i)] = b
 		}
 	}
-	if !found {
-		t.Error("data image not loaded")
+	if len(want) <= 8 {
+		t.Fatalf("image holds %d bytes: no data", len(want))
+	}
+	for addr, b := range want {
+		if got := byte(s.NVM().PeekWord(addr)); got != b {
+			t.Fatalf("NVM[%#x] = %#x, image has %#x", addr, got, b)
+		}
+	}
+}
+
+// TestRunRejectsDataPastNVM: a program whose data does not fit the NVM
+// is refused with an error before boot, on every kind, outage-free and
+// under a power trace, instead of panicking when its image is loaded.
+func TestRunRejectsDataPastNVM(t *testing.T) {
+	p := config.Default()
+	p.NVMSize = 4096
+	for _, k := range arch.AllKinds() {
+		l := compiled(t, "sha", k)
+		for _, src := range []trace.Source{nil, trace.New(trace.RFOffice, 1)} {
+			res, err := Run(l, arch.New(k, p), Options{Source: src})
+			if res != nil || err == nil || !strings.Contains(err.Error(), "4096 B NVM") {
+				t.Errorf("%s, source %v: result %v, err %v; want an NVM size error", k, src, res, err)
+			}
+		}
 	}
 }
 

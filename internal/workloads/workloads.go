@@ -49,6 +49,11 @@ type Workload struct {
 // the data segment by convention).
 func CheckAddr() int64 { return ir.DataBase }
 
+// MaxScale is the largest scale at which every workload's data fits
+// Table 1's 16 MiB NVM; at 364 jpegdec's and jpegenc's no longer do. A
+// build allocates its data up front, in proportion to its scale.
+const MaxScale = 363
+
 func normScale(scale int) int64 {
 	if scale < 1 {
 		return 1

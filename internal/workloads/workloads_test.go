@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/ir"
 	"repro/internal/isa"
 )
@@ -67,7 +69,7 @@ func TestBuildersDeterministic(t *testing.T) {
 				break
 			}
 		}
-		if len(a.Prog.Inits) != len(b.Prog.Inits) {
+		if !reflect.DeepEqual(a.Image, b.Image) {
 			t.Errorf("%s: data image differs", w.Name)
 		}
 	}
@@ -147,6 +149,17 @@ func TestOpMixReasonable(t *testing.T) {
 		}
 		if loads == 0 || stores == 0 || branches == 0 {
 			t.Errorf("%s: degenerate op mix (ld=%d st=%d br=%d)", w.Name, loads, stores, branches)
+		}
+	}
+}
+
+// TestMaxScaleFits: every workload built at MaxScale fits Table 1's NVM,
+// so a kernel that grows its data cannot leave the bound stale.
+func TestMaxScaleFits(t *testing.T) {
+	nvm := config.Default().NVMSize
+	for _, w := range All() {
+		if end := ir.DataBase + w.Build(MaxScale).DataSize; end > nvm {
+			t.Errorf("%s at scale %d: data ends at byte %d, past the %d B NVM", w.Name, MaxScale, end, nvm)
 		}
 	}
 }
