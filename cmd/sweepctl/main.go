@@ -8,7 +8,11 @@
 //	sweepctl batch -file cells.json           # JSON array of cell requests
 //	sweepctl load -file cells.json -clients 8 -repeat 4
 //	sweepctl stats
-//	sweepctl wait -timeout 10s                # block until /healthz answers
+//	sweepctl -timeout 10s wait                # block until /healthz answers
+//
+// -server and -timeout are global: they go before the command. stats
+// and wait take no arguments and refuse any with exit status 2, so a
+// misplaced flag cannot be silently dropped.
 //
 // Single-cell responses print as JSON on stdout (add -full for the whole
 // record, not just key/tier/digest). Exit status is non-zero on any
@@ -37,6 +41,12 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	cmd, args := flag.Arg(0), flag.Args()[1:]
+	if (cmd == "stats" || cmd == "wait") && len(args) > 0 {
+		fmt.Fprintf(os.Stderr, "sweepctl: %s takes no arguments, got %q (global flags go before the command)\n", cmd, args)
+		usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -44,7 +54,6 @@ func main() {
 	defer cancel()
 
 	cl := service.NewClient(*server)
-	cmd, args := flag.Arg(0), flag.Args()[1:]
 	var err error
 	switch cmd {
 	case "cell":
@@ -78,8 +87,8 @@ commands:
   cell    request one cell: -workload -scheme [-profile] [-scale] [-seed] [-params file] [-full]
   batch   replay a JSON array of cell requests: -file path ('-' = stdin) [-full]
   load    load-generator scenario: -file path -clients n -repeat n
-  stats   print the server's store/tier statistics
-  wait    block until the server answers /healthz
+  stats   print the server's store/tier statistics (no arguments)
+  wait    block until the server answers /healthz, up to -timeout (no arguments)
 `)
 }
 

@@ -206,16 +206,3 @@ func NaturalLoops(f *ir.Function) []*Loop {
 	}
 	return loops
 }
-
-// HasStore reports whether any block of the loop contains a store; loops
-// without stores are exempt from header boundaries (Section 4.1, footnote).
-func (lp *Loop) HasStore() bool {
-	for b := range lp.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op.IsStore() {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -124,9 +124,6 @@ func TestNaturalLoops(t *testing.T) {
 	if lp.Blocks[f.Blocks[3]] {
 		t.Error("exit included in loop")
 	}
-	if !lp.HasStore() {
-		t.Error("loop store not detected")
-	}
 	if len(lp.Latches) != 1 || lp.Latches[0] != f.Blocks[2] {
 		t.Error("latch detection")
 	}

@@ -272,8 +272,8 @@ type Scheme interface {
 // ignores them: the cache geometry on the cache-free NVP, and the three
 // SweepCache-only knobs and the two compile knobs only the sweep-mode
 // compiler reads (the unroll cap and inlining) on every other kind.
-// StoreThreshold stays for every kind: the replay-mode compiler reads it,
-// and every scheme sizes its stores-per-region histogram from it.
+// StoreThreshold stays for every kind: every scheme sizes its
+// stores-per-region histogram from it.
 // VBackupBoost stays, since the JIT threshold is re-derived from it, so
 // Params is idempotent.
 func (k Kind) Params(p config.Params) config.Params {

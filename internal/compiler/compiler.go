@@ -84,6 +84,19 @@ const (
 	inlineMaxInstrs = 48
 )
 
+// boundaryStores is how many stores a region boundary charges to the
+// region it ends: save.pc, and at a function entry the lr checkpoint
+// (see the package comment). config's least store threshold leaves room
+// for them beside one store of the region's own.
+const boundaryStores = 2
+
+// storeBudget is how many stores of its own, program and checkpoint
+// stores alike, a region may hold: the threshold less the boundary's,
+// and at least one.
+func (o Options) storeBudget() int {
+	return max(o.StoreThreshold-boundaryStores, 1)
+}
+
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
 	if o.StoreThreshold == 0 {

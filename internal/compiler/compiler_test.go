@@ -1,11 +1,15 @@
 package compiler
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/arch"
+	"repro/internal/config"
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -31,6 +35,29 @@ func storeLoop(storesPerIter, iters int64) *ir.Program {
 	body.Jmp(head)
 	exit.Halt()
 	return p
+}
+
+// runSweep runs l outage-free to halt on Sweep-EmptyBit with a persist
+// buffer of th entries, and returns its final NVM image's hash. A region
+// whose dirty lines overflow the buffer panics the architecture; that
+// fails the test, as does a run that does not halt within its bound.
+func runSweep(t *testing.T, l *ir.Linked, th int) [32]byte {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("threshold %d: %v", th, r)
+		}
+	}()
+	p := config.Default()
+	p.StoreThreshold = th
+	res, err := sim.Run(l, arch.New(arch.SweepEmptyBit, p), sim.Options{MaxInstructions: 100_000})
+	if err != nil {
+		t.Fatalf("threshold %d: %v", th, err)
+	}
+	if !res.Halted {
+		t.Fatalf("threshold %d: did not halt", th)
+	}
+	return res.NVM.ContentHash()
 }
 
 func countOps(l *ir.Linked, op isa.Op) int {
@@ -264,6 +291,51 @@ func TestFunctionEntryCheckpointsLR(t *testing.T) {
 	_ = res
 }
 
+// callsAfterStores builds a program whose main function calls an empty
+// leaf function after each run of 0, 1, ..., n stores, each store to a
+// cache line of its own. A run starts at a call continuation, which is a
+// region head, so the region that ends at the leaf's entry holds the
+// run's last stores; from n = threshold-2 on, some such region fills its
+// store budget, and the leaf's entry boundary charges both save.pc and
+// the lr checkpoint to it.
+func callsAfterStores(n int) *ir.Program {
+	p := ir.NewProgram("t")
+	leaf := p.NewFunc("leaf")
+	p.SetEntry(nil)
+	main := p.NewFunc("main")
+	p.SetEntry(main)
+	arr := p.Alloc(int64(64 * n))
+	leaf.Entry().Ret()
+	b := main.Entry()
+	for k := 0; k <= n; k++ {
+		b.MovI(13, arr)
+		b.MovI(1, int64(k))
+		for i := 0; i < k; i++ {
+			b.St(13, int64(64*i), 1)
+		}
+		cont := main.NewBlock(fmt.Sprintf("after%d", k))
+		b.Call(leaf, cont)
+		b = cont
+	}
+	b.Halt()
+	return p
+}
+
+// TestFunctionEntryBoundaryFitsThreshold pins the boundary reservation:
+// a region ending at a function entry is charged two boundary stores
+// (save.pc and the lr checkpoint) beside its own, and all of them must
+// fit the persist buffer. A compiler that reserves fewer overflows it
+// here, at the least threshold and at a larger one.
+func TestFunctionEntryBoundaryFitsThreshold(t *testing.T) {
+	for _, th := range []int{3, 8} {
+		res, err := Compile(callsAfterStores(th+1), Options{Mode: ModeSweep, StoreThreshold: th, UnrollCap: 1})
+		if err != nil {
+			t.Fatalf("threshold %d: %v", th, err)
+		}
+		runSweep(t, res.Linked, th)
+	}
+}
+
 func TestCompileStatsPopulated(t *testing.T) {
 	w, err := workloads.ByName("sha")
 	if err != nil {
@@ -421,19 +493,23 @@ func TestPeepholeRemovesDeadCode(t *testing.T) {
 }
 
 // TestPeepholeKeepsLoopCarriedDefs: a definition used only in the NEXT
-// iteration (live around the back edge) must survive.
+// iteration (live around the back edge) must survive. The loop counter's
+// AddI is loop-carried, and nothing in the loop is dead, so the peephole
+// removes nothing; the program runs to halt and ends in the same memory
+// as its build without the peephole.
 func TestPeepholeKeepsLoopCarriedDefs(t *testing.T) {
-	p := storeLoop(2, 5)
-	res, err := Compile(p, Options{Mode: ModeSweep, UnrollCap: 1})
+	res, err := Compile(storeLoop(2, 5), Options{Mode: ModeSweep, UnrollCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loop counter's AddI is loop-carried; removing it would hang
-	// the program. Run it to be sure.
 	if res.Stats.DeadRemoved != 0 {
-		t.Logf("removed %d (ok if genuinely dead)", res.Stats.DeadRemoved)
+		t.Errorf("peephole removed %d instructions from a loop with no dead code", res.Stats.DeadRemoved)
 	}
-	for _, in := range res.Linked.Code {
-		_ = in
+	ref, err := Compile(storeLoop(2, 5), Options{Mode: ModeSweep, UnrollCap: 1, DisablePeephole: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runSweep(t, res.Linked, 64) != runSweep(t, ref.Linked, 64) {
+		t.Error("final NVM image differs from the build without the peephole")
 	}
 }

@@ -35,13 +35,9 @@ func formRegions(p *ir.Program, opt Options, st *Stats, sweep bool) error {
 		// the store threshold, and moving a boundary changes the
 		// live-out sets. Each iteration re-derives checkpoints from
 		// scratch and splits any region whose worst-case path exceeds
-		// the threshold; the head set only grows, so this terminates.
-		// The -2 slack accounts for the save.pc and (at function
-		// entries) the lr checkpoint charged to the ending region.
-		eff := opt.StoreThreshold - 2
-		if eff < 1 {
-			eff = 1
-		}
+		// the threshold, less the boundary's own stores; the head set
+		// only grows, so this terminates.
+		eff := opt.storeBudget()
 		for iter := 0; ; iter++ {
 			if iter > 200 {
 				// Each region needs room for its checkpoint stores

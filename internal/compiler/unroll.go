@@ -22,10 +22,7 @@ import (
 // a call-continuation boundary inside the body would defeat the point.
 // Returns the number of loops unrolled.
 func unrollLoops(p *ir.Program, opt Options) int {
-	eff := opt.StoreThreshold - 2
-	if eff < 1 {
-		eff = 1
-	}
+	eff := opt.storeBudget()
 	n := 0
 	for _, f := range p.Funcs {
 		loops := analysis.NaturalLoops(f)

@@ -280,9 +280,10 @@ const (
 )
 
 // minStoreThreshold is the least store threshold the Sweep compiler can
-// honour: a region's boundary charges up to two stores of its own (save.pc,
-// and the lr checkpoint at a function entry) to the ending region's buffer,
-// on top of at least one program or checkpoint store.
+// honour: a region's boundary charges up to compiler.boundaryStores (2)
+// stores of its own (save.pc, and the lr checkpoint at a function entry)
+// to the ending region's buffer, on top of at least one program or
+// checkpoint store.
 const minStoreThreshold = 3
 
 // Validate reports the first scheme-independent inconsistency in p as a

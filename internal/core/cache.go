@@ -12,30 +12,20 @@ import (
 // experiment matrix share a binary exactly when their keys match: the
 // same workload build (Workload and Scale must uniquely determine the
 // Builder's program — builders are deterministic by contract) compiled
-// under the same mode and the same compiler-relevant parameters. Scheme
-// kinds that share a compiler mode (NVP, WTVCache, NVSRAM, NVSRAME,
-// NvMR all run plain binaries) collapse onto one entry.
+// under the same options. Scheme kinds that share a compiler mode (NVP,
+// WTVCache, NVSRAM, NVSRAME, NvMR all run plain binaries) collapse onto
+// one entry, and so do plain and replay builds under params that differ
+// only in knobs their compiler does not read.
 type CompileKey struct {
-	Workload       string
-	Scale          int
-	Mode           compiler.Mode
-	StoreThreshold int
-	UnrollCap      int
-	Inline         bool
+	Workload string
+	Scale    int
+	Options  compiler.Options
 }
 
 // KeyFor returns the compile key for building workload at scale for kind
-// under p. It must list every Params field the compiler reads — adding a
-// compiler knob to config.Params means adding it here.
+// under p: the options are the ones Compile compiles with.
 func KeyFor(workload string, scale int, kind arch.Kind, p config.Params) CompileKey {
-	return CompileKey{
-		Workload:       workload,
-		Scale:          scale,
-		Mode:           ModeFor(kind),
-		StoreThreshold: p.StoreThreshold,
-		UnrollCap:      p.CompilerUnrollCap,
-		Inline:         p.CompilerInline,
-	}
+	return CompileKey{Workload: workload, Scale: scale, Options: compileOptions(kind, p)}
 }
 
 // CompileCache memoizes compiler results across an experiment matrix.

@@ -76,6 +76,29 @@ func TestCompileCacheSharesByKey(t *testing.T) {
 	}
 }
 
+// TestKeyForReadsOnlyCompiledKnobs: a compile key changes with a knob
+// exactly when the scheme's compiler reads it. Plain (NVP) and replay
+// (ReplayCache) binaries share one key across the store threshold, the
+// unroll cap and inlining; a Sweep binary gets a key of its own for each.
+func TestKeyForReadsOnlyCompiledKnobs(t *testing.T) {
+	knobs := map[string]func(*config.Params){
+		"StoreThreshold":    func(p *config.Params) { p.StoreThreshold += 8 },
+		"CompilerUnrollCap": func(p *config.Params) { p.CompilerUnrollCap++ },
+		"CompilerInline":    func(p *config.Params) { p.CompilerInline = !p.CompilerInline },
+	}
+	for _, k := range []arch.Kind{arch.NVP, arch.ReplayCache, arch.SweepEmptyBit} {
+		base := KeyFor("sha", 1, k, config.Default())
+		for name, turn := range knobs {
+			p := config.Default()
+			turn(&p)
+			changed := KeyFor("sha", 1, k, p) != base
+			if want := k == arch.SweepEmptyBit; changed != want {
+				t.Errorf("%v: %s changed the compile key = %v, want %v", k, name, changed, want)
+			}
+		}
+	}
+}
+
 func TestCompileCacheConcurrentSingleflight(t *testing.T) {
 	cc := NewCompileCache()
 	p := config.Default()

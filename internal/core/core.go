@@ -30,12 +30,23 @@ func ModeFor(kind arch.Kind) compiler.Mode {
 
 // Compile builds and compiles the program for the scheme.
 func Compile(build Builder, kind arch.Kind, p config.Params) (*compiler.Result, error) {
-	return compiler.Compile(build(), compiler.Options{
-		Mode:             ModeFor(kind),
-		StoreThreshold:   p.StoreThreshold,
-		UnrollCap:        p.CompilerUnrollCap,
-		InlineSmallFuncs: p.CompilerInline,
-	})
+	return compiler.Compile(build(), compileOptions(kind, p))
+}
+
+// compileOptions returns the options kind's compiler reads from p, and
+// nothing else: plain and replay binaries carry only their Mode, since
+// only the sweep-mode compiler reads the store threshold (region
+// splitting and unroll factors), the unroll cap and inlining. Compile
+// and KeyFor both read it, so two cells share a binary exactly when
+// their compilations are the same.
+func compileOptions(kind arch.Kind, p config.Params) compiler.Options {
+	o := compiler.Options{Mode: ModeFor(kind)}
+	if o.Mode == compiler.ModeSweep {
+		o.StoreThreshold = p.StoreThreshold
+		o.UnrollCap = p.CompilerUnrollCap
+		o.InlineSmallFuncs = p.CompilerInline
+	}
+	return o
 }
 
 // Run compiles build for kind and executes it under the given power source

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/arch"
 )
 
 // barChart renders a labelled horizontal ASCII bar chart, the terminal
@@ -42,8 +44,8 @@ type barRow struct {
 // per-scheme geomeans — a quick visual check that the ordering matches
 // the paper's bars.
 func (r *SpeedupResult) Chart() string {
-	rows := make([]barRow, 0, len(evalKinds))
-	for _, k := range evalKinds {
+	var rows []barRow
+	for _, k := range arch.EvalKinds() {
 		rows = append(rows, barRow{Label: k.String(), Value: r.GeoAll[k]})
 	}
 	return barChart(r.Title+" — geomean speedup over NVP", rows, 48)

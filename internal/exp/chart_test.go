@@ -45,7 +45,7 @@ func TestSpeedupChartAndCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	chart := r.Chart()
-	for _, k := range evalKinds {
+	for _, k := range arch.EvalKinds() {
 		if !strings.Contains(chart, k.String()) {
 			t.Errorf("chart missing %v:\n%s", k, chart)
 		}

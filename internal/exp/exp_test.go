@@ -39,7 +39,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("Empty-Bit (%.2f) slower than NVM Search (%.2f)", g[arch.SweepEmptyBit], g[arch.SweepNVMSearch])
 	}
 	// Every speedup over the cache-free NVP must exceed 1.
-	for _, k := range evalKinds {
+	for _, k := range arch.EvalKinds() {
 		if g[k] < 1.5 {
 			t.Errorf("%v geomean %.2f — caching should clearly beat NVP", k, g[k])
 		}

@@ -6,9 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// evalKinds are the four bars of Figures 5-7.
-var evalKinds = []arch.Kind{arch.ReplayCache, arch.NVSRAM, arch.SweepNVMSearch, arch.SweepEmptyBit}
-
 // SpeedupResult is the outcome of one Figure 5/6/7-style experiment.
 type SpeedupResult struct {
 	Title string
@@ -22,7 +19,8 @@ type SpeedupResult struct {
 
 // speedupFigure runs the common shape of Figures 5, 6 and 7.
 func (c *Context) speedupFigure(title string, profile *trace.Profile) (*SpeedupResult, error) {
-	m, err := c.runMatrix(evalKinds, profile, c.Params, 1)
+	kinds := arch.EvalKinds()
+	m, err := c.runMatrix(kinds, profile, c.Params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +32,7 @@ func (c *Context) speedupFigure(title string, profile *trace.Profile) (*SpeedupR
 		GeoMi:    map[arch.Kind]float64{},
 		GeoAll:   map[arch.Kind]float64{},
 	}
-	for _, k := range evalKinds {
+	for _, k := range kinds {
 		r.GeoMedia[k] = m.GeomeanSpeedup(k, media)
 		r.GeoMi[k] = m.GeomeanSpeedup(k, mi)
 		r.GeoAll[k] = m.GeomeanSpeedup(k, nil)
@@ -44,7 +42,7 @@ func (c *Context) speedupFigure(title string, profile *trace.Profile) (*SpeedupR
 	c.printf("%-13s %12s %10s %12s %12s\n", "benchmark", "ReplayCache", "NVSRAM", "Sweep(NVM)", "Sweep(EB)")
 	row := func(name string) {
 		c.printf("%-13s", name)
-		for _, k := range evalKinds {
+		for _, k := range kinds {
 			c.printf(" %*.2f", colw(k), m.Speedup(name, k))
 		}
 		c.printf("\n")
@@ -73,7 +71,7 @@ func colw(k arch.Kind) int {
 
 func (c *Context) geoRow(label string, g map[arch.Kind]float64) {
 	c.printf("%-13s", label)
-	for _, k := range evalKinds {
+	for _, k := range arch.EvalKinds() {
 		c.printf(" %*.2f", colw(k), g[k])
 	}
 	c.printf("\n")

@@ -94,5 +94,5 @@ func (c *Context) SeedSweep(profile trace.Profile, kinds []arch.Kind) (*SweepRes
 // the Figure 6 configuration (RF-Home harvest, the four evaluated
 // schemes) across c.Seeds seeds.
 func (c *Context) Sweep() (*SweepResult, error) {
-	return c.SeedSweep(trace.RFHome, evalKinds)
+	return c.SeedSweep(trace.RFHome, arch.EvalKinds())
 }

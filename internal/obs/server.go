@@ -64,18 +64,18 @@ func NewRunID() string {
 }
 
 // Health states a process can report on /healthz. Anything but
-// HealthOK answers 503, so load balancers and the campaign coordinator
-// route around a worker that is shutting down or serving a poisoned
-// cell set without parsing the body.
+// HealthOK answers 503, so a load balancer routes around a worker that
+// is shutting down without parsing the body. A cell that fails is not a
+// health state: it fails its own requests, and the campaign coordinator
+// decides what to do about it.
 const (
 	HealthOK       = "ok"
-	HealthDegraded = "degraded" // alive, but e.g. quarantined cells > 0
 	HealthDraining = "draining" // shutting down; not accepting new work
 )
 
 // Health is the /healthz verdict.
 type Health struct {
-	State  string `json:"state"` // HealthOK, HealthDegraded, HealthDraining
+	State  string `json:"state"` // HealthOK or HealthDraining
 	Reason string `json:"reason,omitempty"`
 }
 

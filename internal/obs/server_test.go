@@ -77,8 +77,8 @@ func TestServerHealthz(t *testing.T) {
 }
 
 // TestServerHealthzStates: a Health hook turns /healthz into a router
-// signal — degraded and draining answer 503 with the state and reason
-// in the body, ok stays 200, and a nil hook is always ok.
+// signal — draining answers 503 with the state and reason in the body,
+// ok stays 200, and a nil hook is always ok.
 func TestServerHealthzStates(t *testing.T) {
 	var (
 		mu sync.Mutex
@@ -97,8 +97,7 @@ func TestServerHealthzStates(t *testing.T) {
 		wantBody string
 	}{
 		{Health{State: HealthOK}, http.StatusOK, "ok"},
-		{Health{}, http.StatusOK, "ok"}, // zero value degrades to ok
-		{Health{State: HealthDegraded, Reason: "3 quarantined cells"}, http.StatusServiceUnavailable, "degraded: 3 quarantined cells"},
+		{Health{}, http.StatusOK, "ok"}, // zero value reads ok
 		{Health{State: HealthDraining, Reason: "shutting down"}, http.StatusServiceUnavailable, "draining: shutting down"},
 		{Health{State: HealthDraining}, http.StatusServiceUnavailable, "draining"},
 	} {

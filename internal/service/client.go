@@ -72,9 +72,8 @@ func Jitter(d time.Duration) time.Duration {
 // StatusError is a non-200 response from the server, carrying the
 // status code so callers can tell a client fault (400: fix the request)
 // from a simulation failure (500: retrying the cell may help) from a
-// routing condition (503: the worker is draining or degraded — go
-// elsewhere). The distributed coordinator's retry/quarantine policy
-// keys on this.
+// routing condition (503: the worker is draining — go elsewhere). The
+// distributed coordinator's retry/quarantine policy keys on this.
 type StatusError struct {
 	Status int
 	Method string
@@ -287,8 +286,8 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Health pings /healthz once. A degraded or draining worker answers
-// 503, which surfaces here as a *StatusError.
+// Health pings /healthz once. A draining worker answers 503, which
+// surfaces here as a *StatusError.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, "/healthz", nil, nil)
 }

@@ -17,7 +17,7 @@ import (
 //	GET  /v1/stats  -> Stats (store tiers, dedup, counters, health)
 //
 // plus the standard introspection endpoints from internal/obs —
-// /healthz (503 when draining or degraded), /runinfo, /metrics
+// /healthz (503 while draining), /runinfo, /metrics
 // (Prometheus, including the store's tier counters), /progress
 // (simulating cells) — mounted at the root.
 
@@ -68,7 +68,7 @@ func (s *Service) Handler(info obs.RunInfo) http.Handler {
 	s.workerID = info.RunID
 	// The obs endpoints serve everything else; its Extra hook merges the
 	// store and service counters into /metrics, and its Health hook turns
-	// /healthz into 503 while draining or degraded.
+	// /healthz into 503 while draining.
 	obsSrv := &obs.Server{Info: info, Tracker: s.tracker, Extra: s.MetricsSnapshot, Health: s.Health, Log: s.log}
 	mux.Handle("/", obsSrv.Handler())
 	return mux

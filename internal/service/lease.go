@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -75,12 +74,6 @@ func (s *Service) Lease(ctx context.Context, lr LeaseRequest) (*LeaseResponse, e
 	return &LeaseResponse{LeaseID: lr.LeaseID, Attempt: lr.Attempt, Worker: s.workerID, Result: resp}, nil
 }
 
-// QuarantineThreshold is how many consecutive compute failures put a
-// cell key on the worker's quarantine list (flipping /healthz to
-// degraded). A success clears the key: transient failures heal,
-// deterministic ones accumulate.
-const QuarantineThreshold = 3
-
 // StartDrain flips the worker into draining: /healthz answers 503 and
 // new leases are refused, while in-flight requests run to completion
 // under the server's shutdown grace. sweepd calls this on
@@ -94,53 +87,13 @@ func (s *Service) StartDrain() {
 // Draining reports whether StartDrain has been called.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// noteCellFailure records a compute failure for quarantine tracking.
-// Context-derived failures (lease expiry, client disconnect) are the
-// caller's doing, not the cell's — the simulate path filters them out
-// before calling this.
-func (s *Service) noteCellFailure(key string, err error) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	s.failStreaks[key]++
-	if s.failStreaks[key] == QuarantineThreshold {
-		if s.quarantined == nil {
-			s.quarantined = map[string]string{}
-		}
-		s.quarantined[key] = err.Error()
-		s.cellsQuarantined.Add(1)
-		s.log.Warn("cell quarantined: repeated deterministic failures — /healthz degraded",
-			"key", key, "streak", s.failStreaks[key], "err", err)
-	}
-}
-
-// noteCellSuccess clears a key's failure streak (and un-quarantines it:
-// the failure evidently was not deterministic after all).
-func (s *Service) noteCellSuccess(key string) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if s.failStreaks[key] > 0 {
-		delete(s.failStreaks, key)
-	}
-	if _, ok := s.quarantined[key]; ok {
-		delete(s.quarantined, key)
-		s.log.Info("cell recovered from quarantine", "key", key)
-	}
-}
-
-// QuarantinedCells returns how many cell keys are currently quarantined.
-func (s *Service) QuarantinedCells() int {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return len(s.quarantined)
-}
-
-// Health is the /healthz verdict: draining beats degraded beats ok.
+// Health is the /healthz verdict: draining or ok. A failing cell does
+// not change it: the cell answers 500 on every request, and what to do
+// about it is the coordinator's call (dist.Coordinator's MaxAttempts and
+// quarantine), not the worker's.
 func (s *Service) Health() obs.Health {
 	if s.draining.Load() {
 		return obs.Health{State: obs.HealthDraining, Reason: "shutting down"}
-	}
-	if n := s.QuarantinedCells(); n > 0 {
-		return obs.Health{State: obs.HealthDegraded, Reason: fmt.Sprintf("%d quarantined cells", n)}
 	}
 	return obs.Health{State: obs.HealthOK}
 }

@@ -24,7 +24,6 @@ import (
 	"log/slog"
 	"maps"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,15 +135,8 @@ type Service struct {
 
 	// The service's counters, read by Stats and MetricsSnapshot while
 	// requests run: every Cell call, the bad ones among them, failed
-	// ones, leases served, and cells that crossed QuarantineThreshold.
-	requests, badRequests, failures, leases, cellsQuarantined atomic.Uint64
-
-	// Quarantine tracking: consecutive compute-failure streaks per cell
-	// key, and the keys that crossed QuarantineThreshold with their last
-	// error. Guarded by qmu; context-derived failures don't count.
-	qmu         sync.Mutex
-	failStreaks map[string]int
-	quarantined map[string]string
+	// ones, and leases served.
+	requests, badRequests, failures, leases atomic.Uint64
 }
 
 // New builds the service and opens its store.
@@ -174,8 +166,6 @@ func New(cfg Config) (*Service, error) {
 		sem:         sem,
 		workerID:    obs.NewRunID(),
 		defaultFP:   config.Default().Fingerprint(),
-		failStreaks: map[string]int{},
-		quarantined: map[string]string{},
 	}
 	cfg.Tracker.BeginPhase("serve")
 	return s, nil
@@ -314,19 +304,11 @@ func (s *Service) simulate(ctx context.Context, spec *cellSpec, id journal.Cell)
 		if s.tracker != nil {
 			s.tracker.Fail(slot, idx, err, false)
 		}
-		// A failure with a live context is the cell's own doing (panic,
-		// no-progress, chaos) and counts toward quarantine; a dead context
-		// means the caller walked away or the lease TTL fired — not the
-		// cell's fault.
-		if ctx.Err() == nil {
-			s.noteCellFailure(id.Key(), err)
-		}
 		return nil, err
 	}
 	if s.tracker != nil {
 		s.tracker.Done(slot, idx)
 	}
-	s.noteCellSuccess(id.Key())
 	return journal.FromResult(res), nil
 }
 
@@ -377,35 +359,29 @@ func (s *Service) Cells(ctx context.Context, reqs []CellRequest) []BatchItem {
 type Stats struct {
 	Store store.Stats `json:"store"`
 	// Counters are the service's own counters (service.requests,
-	// service.bad_requests, service.failures, service.leases,
-	// service.cells_quarantined), zeros included; the store's are typed
-	// under Store.
+	// service.bad_requests, service.failures, service.leases), zeros
+	// included; the store's are typed under Store.
 	Counters map[string]uint64 `json:"counters"`
 	// Health mirrors the /healthz verdict so one stats scrape carries it.
 	Health obs.Health `json:"health"`
-	// Quarantined is the current quarantined-cell count (cells that
-	// failed QuarantineThreshold consecutive times).
-	Quarantined int `json:"quarantined"`
 }
 
 // Stats snapshots the service.
 func (s *Service) Stats() Stats {
 	return Stats{
-		Store:       s.store.Stats(),
-		Counters:    s.counters(),
-		Health:      s.Health(),
-		Quarantined: s.QuarantinedCells(),
+		Store:    s.store.Stats(),
+		Counters: s.counters(),
+		Health:   s.Health(),
 	}
 }
 
 // counters reads the service's counters under their metric names.
 func (s *Service) counters() map[string]uint64 {
 	return map[string]uint64{
-		"service.requests":          s.requests.Load(),
-		"service.bad_requests":      s.badRequests.Load(),
-		"service.failures":          s.failures.Load(),
-		"service.leases":            s.leases.Load(),
-		"service.cells_quarantined": s.cellsQuarantined.Load(),
+		"service.requests":     s.requests.Load(),
+		"service.bad_requests": s.badRequests.Load(),
+		"service.failures":     s.failures.Load(),
+		"service.leases":       s.leases.Load(),
 	}
 }
 
@@ -415,6 +391,5 @@ func (s *Service) counters() map[string]uint64 {
 func (s *Service) MetricsSnapshot() *telemetry.Snapshot {
 	snap := s.store.Stats().Metrics()
 	maps.Copy(snap.Counters, s.counters())
-	snap.Gauges["service.quarantined_cells"] = float64(s.QuarantinedCells())
 	return snap
 }

@@ -344,7 +344,7 @@ func TestMetricsOneHomePerCounter(t *testing.T) {
 	storeCounts := func(st store.Stats) []uint64 {
 		return []uint64{st.MemHits, st.DiskHits, st.Misses, st.DedupCollapses, st.Errors}
 	}
-	serviceNames := []string{"service_requests", "service_bad_requests", "service_failures", "service_leases", "service_cells_quarantined"}
+	serviceNames := []string{"service_requests", "service_bad_requests", "service_failures", "service_leases"}
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
 	svc, ts, cl := startService(t, path)
@@ -360,10 +360,9 @@ func TestMetricsOneHomePerCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeros := map[string]uint64{"service.requests": 0, "service.bad_requests": 0, "service.failures": 0,
-		"service.leases": 0, "service.cells_quarantined": 0}
+	zeros := map[string]uint64{"service.requests": 0, "service.bad_requests": 0, "service.failures": 0, "service.leases": 0}
 	if !maps.Equal(st.Counters, zeros) {
-		t.Errorf("fresh /v1/stats counters = %v, want the five service counters at 0", st.Counters)
+		t.Errorf("fresh /v1/stats counters = %v, want the four service counters at 0", st.Counters)
 	}
 
 	// Two misses, a memory hit and a bad request.
@@ -391,7 +390,7 @@ func TestMetricsOneHomePerCounter(t *testing.T) {
 		}
 	}
 	if vals["service_requests"] != "4" || vals["service_bad_requests"] != "1" ||
-		st.Counters["service.requests"] != 4 || st.Counters["service.bad_requests"] != 1 || len(st.Counters) != 5 {
+		st.Counters["service.requests"] != 4 || st.Counters["service.bad_requests"] != 1 || len(st.Counters) != 4 {
 		t.Errorf("service counters: /metrics requests %s bad %s, /v1/stats %v",
 			vals["service_requests"], vals["service_bad_requests"], st.Counters)
 	}

@@ -39,7 +39,7 @@ field() {
 start_worker() { # addr store -> pid on stdout
     "$workdir/sweepd" -listen "$1" -store "$2" >>"$workdir/sweepd-$1.log" 2>&1 &
     local pid=$!
-    "$workdir/sweepctl" -server "$1" wait -timeout 10s
+    "$workdir/sweepctl" -server "$1" -timeout 10s wait
     echo "$pid"
 }
 

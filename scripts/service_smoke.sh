@@ -5,7 +5,9 @@
 # over the same store and require the cell to come back from the disk
 # tier with the digest it had when it was first simulated, on every
 # request: a tier names the record's origin, and the journal proved this
-# one before the daemon started. CI runs this on every push.
+# one before the daemon started. Last, a cell that fails on every
+# request must leave the daemon in service: /healthz stays ok and other
+# cells are still served. CI runs this on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +31,7 @@ start_daemon() {
     "$workdir/sweepd" -listen "$addr" -store "$workdir/cells.jsonl" \
         >>"$workdir/sweepd.log" 2>&1 &
     daemon_pid=$!
-    ctl wait -timeout 10s
+    ctl -timeout 10s wait
 }
 
 stop_daemon() {
@@ -101,6 +103,30 @@ if [ "$again_tier" != "disk" ] || [ "$again_digest" != "$digest" ]; then
     cat "$workdir/again.json" >&2
     exit 1
 fi
+
+echo "== a failing cell leaves the daemon in service"
+# sha's data does not fit a 4 KiB NVM: the engine refuses the cell, a
+# 500, on every request.
+echo '{"NVMSize": 4096}' >"$workdir/small.json"
+for i in 1 2 3; do
+    if ctl cell -workload sha -scheme NVP -params "$workdir/small.json" \
+        >"$workdir/poisoned.json" 2>"$workdir/poisoned.err"; then
+        echo "FAIL: poisoned request $i served" >&2
+        cat "$workdir/poisoned.json" >&2
+        exit 1
+    fi
+done
+grep -q 'past the 4096 B NVM' "$workdir/poisoned.err" ||
+    { echo "FAIL: poisoned request failed for another reason" >&2; cat "$workdir/poisoned.err" >&2; exit 1; }
+ctl -timeout 5s wait ||
+    { echo "FAIL: /healthz not ok after 3 failing requests" >&2; exit 1; }
+ctl cell -workload sha -scheme Sweep-EmptyBit -profile RFHome >"$workdir/after.json"
+after_digest=$(field "$workdir/after.json" digest)
+if [ "$after_digest" != "$digest" ]; then
+    echo "FAIL: healthy cell after failing requests: digest '$after_digest', want $digest" >&2
+    cat "$workdir/after.json" >&2
+    exit 1
+fi
 stop_daemon
 
-echo "PASS: 72 requests, 3 simulations, digest $digest stable across memory/disk/restart"
+echo "PASS: 72 requests, 3 simulations, digest $digest stable across memory/disk/restart; 3 failing requests left /healthz ok"
