@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check test vet golden bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
+.PHONY: all build fmt-check perfbench-only test vet golden bench bench-json bench-telemetry chaos serve service-smoke dist-smoke check clean
 
 all: check
 
@@ -20,6 +20,24 @@ vet:
 # listed file fails the target.
 fmt-check:
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# Four names stay only because perfbench still uses them: the ignored
+# exp.Context.BatchWidth and service.Config.MemCap, trace.NewShared (now
+# trace.New) and trace.FlushSharedTapes (now a no-op). Any Go file
+# outside perfbench that names one, other than in a comment or in the
+# name's own declaration, fails this target, so the change that drops
+# perfbench's uses can delete the names without hunting for callers.
+PERFBENCH_ONLY := BatchWidth|MemCap|NewShared|FlushSharedTapes
+
+perfbench-only:
+	@uses=$$(grep -rnE --include='*.go' --exclude-dir=perfbench --exclude-dir=.bench_build \
+		'\b($(PERFBENCH_ONLY))\b' . | sed 's#//.*##' | \
+		grep -E '^[^:]*:[0-9]+:.*\b($(PERFBENCH_ONLY))\b' | \
+		grep -vE '^[^:]*:[0-9]+:(func ($(PERFBENCH_ONLY))\(|[[:space:]]*($(PERFBENCH_ONLY))[[:space:]]+int$$)'); \
+	if [ -n "$$uses" ]; then \
+		printf '%s\n' "$$uses" >&2; \
+		echo "perfbench-only: names kept only for perfbench are used outside it (above)" >&2; exit 1; \
+	fi
 
 # The whole paper evaluation against its committed output: sweepexp -exp
 # all must print docs/full_results.txt, trailing blank lines aside (the
@@ -111,7 +129,7 @@ dist-smoke:
 	$(GO) test -race -count=1 ./internal/dist/
 	./scripts/dist_smoke.sh
 
-check: build fmt-check vet test golden
+check: build fmt-check vet perfbench-only test golden
 
 clean:
 	$(GO) clean ./...

@@ -95,7 +95,7 @@ func BenchmarkRunRFHome(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(cres.Linked, arch.New(arch.SweepEmptyBit, p),
-			sim.Options{Source: trace.NewShared(trace.RFHome, 1)})
+			sim.Options{Source: trace.New(trace.RFHome, 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkNVPRFHome(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(cres.Linked, arch.New(arch.NVP, p),
-			sim.Options{Source: trace.NewShared(trace.RFHome, 1)})
+			sim.Options{Source: trace.New(trace.RFHome, 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkRunBatch1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results, errs, err := sim.RunBatch(cres.Linked,
 			[]arch.Scheme{arch.New(arch.WTVCache, p)},
-			sim.BatchOptions{Sources: []trace.Source{trace.NewShared(trace.Thermal, 1)}})
+			sim.BatchOptions{Sources: []trace.Source{trace.New(trace.Thermal, 1)}})
 		if err != nil {
 			b.Fatal(err)
 		}

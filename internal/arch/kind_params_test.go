@@ -121,7 +121,7 @@ func runRecord(t *testing.T, cres *compiler.Result, s arch.Scheme, src *trace.Pr
 	t.Helper()
 	opt := sim.Options{}
 	if src != nil {
-		opt.Source = trace.NewShared(*src, 1)
+		opt.Source = trace.New(*src, 1)
 	}
 	res, err := sim.Run(cres.Linked, s, opt)
 	if err != nil {

@@ -76,12 +76,6 @@ type Config struct {
 	// HedgeK hedges a cell once it has been in flight HedgeK× the
 	// rolling p95 cell latency (default 4; needs ≥8 completions first).
 	HedgeK float64
-	// HedgeInterval is the straggler-scan period (default 100ms).
-	HedgeInterval time.Duration
-	// RetryBase/RetryCap shape the per-cell failure backoff (defaults
-	// 100ms / 5s), with full jitter over the upper half.
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// StallTimeout fails the campaign after this long without a single
 	// worker response (default 2m): the all-workers-dead bound.
 	StallTimeout time.Duration
@@ -109,15 +103,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.HedgeK <= 0 {
 		c.HedgeK = 4
-	}
-	if c.HedgeInterval <= 0 {
-		c.HedgeInterval = 100 * time.Millisecond
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 5 * time.Second
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 2 * time.Minute
@@ -187,6 +172,13 @@ type benchState struct {
 const (
 	benchBase = 250 * time.Millisecond
 	benchCap  = 5 * time.Second
+
+	// hedgeInterval is the straggler-scan period.
+	hedgeInterval = 100 * time.Millisecond
+	// retryBase and retryCap shape a cell's backoff after a compute
+	// failure, with full jitter over the upper half.
+	retryBase = 100 * time.Millisecond
+	retryCap  = 5 * time.Second
 )
 
 // New validates the config and builds the coordinator (one HTTP client
@@ -491,7 +483,7 @@ func (c *Coordinator) classify(wi, laneID int, t *task, lctx context.Context, er
 			return
 		}
 		c.rep.Retries++
-		c.enqueue(t, service.Jitter(service.Backoff(c.cfg.RetryBase, c.cfg.RetryCap, t.failures-1)))
+		c.enqueue(t, service.Jitter(service.Backoff(retryBase, retryCap, t.failures-1)))
 	case errors.Is(err, context.Canceled):
 		// Our own cancel without t.done: the run is shutting down via a
 		// path ctx.Err() hasn't surfaced yet. Leave the task; Run reports
@@ -607,7 +599,7 @@ func (c *Coordinator) fail(err error) {
 // SlowLimit(HedgeK) is re-enqueued, so another lane races the straggler
 // and the first completion cancels the loser.
 func (c *Coordinator) hedger(ctx context.Context) {
-	tick := time.NewTicker(c.cfg.HedgeInterval)
+	tick := time.NewTicker(hedgeInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,15 +114,13 @@ func golden(t *testing.T, reqs []service.CellRequest) *Report {
 	return rep
 }
 
-// fastCfg shortens every campaign knob for test wall clocks.
+// fastCfg shortens the lease TTL and the stall bound for test wall
+// clocks.
 func fastCfg(workers ...string) Config {
 	return Config{
-		Workers:       workers,
-		LeaseTTL:      20 * time.Second,
-		RetryBase:     5 * time.Millisecond,
-		RetryCap:      40 * time.Millisecond,
-		HedgeInterval: 20 * time.Millisecond,
-		StallTimeout:  30 * time.Second,
+		Workers:      workers,
+		LeaseTTL:     20 * time.Second,
+		StallTimeout: 30 * time.Second,
 	}
 }
 
@@ -396,6 +395,30 @@ func TestDistQuarantine(t *testing.T) {
 	}
 	if rep.Retries < cfg.MaxAttempts-1 {
 		t.Errorf("retries %d, want >= %d (backoff retries before quarantine)", rep.Retries, cfg.MaxAttempts-1)
+	}
+}
+
+// TestDistStallFails: when no worker answers at all, the campaign fails
+// on the stall bound instead of re-issuing leases until the caller's
+// deadline.
+func TestDistStallFails(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // every lease now fails to connect
+	cfg := fastCfg(dead.URL)
+	cfg.StallTimeout = 300 * time.Millisecond
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := coord.Run(ctx, testMatrix.Requests())
+	if err == nil || !strings.Contains(err.Error(), "campaign stalled") {
+		t.Fatalf("campaign with no live worker returned %v, want the stall error", err)
+	}
+	if len(rep.Completed) != 0 {
+		t.Fatalf("completed %d cells with no live worker", len(rep.Completed))
 	}
 }
 

@@ -573,7 +573,7 @@ func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, pro
 	}
 	var src trace.Source
 	if profile != nil {
-		src = trace.NewShared(*profile, j.id.Seed)
+		src = trace.New(*profile, j.id.Seed)
 	}
 	res, runErr := c.runJob(runCtx, j.w, j.k, p, src)
 	if runErr != nil {

@@ -484,7 +484,7 @@ func checkServedRecords(t *testing.T, c *Context, sets []matrixSet, served, twin
 				}
 				var src trace.Source
 				if set.profile != nil {
-					src = trace.NewShared(*set.profile, c.Seed)
+					src = trace.New(*set.profile, c.Seed)
 				}
 				cres, err := core.SharedCompileCache().Get(core.KeyFor(w.Name, c.Scale, k, set.p), c.builder(w), k, set.p)
 				if err != nil {

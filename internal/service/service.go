@@ -8,10 +8,9 @@
 //
 // Simulation reuses the matrix-cell machinery of internal/exp
 // (exp.Context.RunSingle): panic isolation, per-cell timeouts, chaos
-// injection, and the process-wide compile and trace-tape caches, so a
-// served cell is bit-identical to the same cell in a batch campaign —
-// the journal's content-hash key guarantees it can never be anything
-// else.
+// injection, and the process-wide compile cache, so a served cell is
+// bit-identical to the same cell in a batch campaign — the journal's
+// content-hash key guarantees it can never be anything else.
 //
 // cmd/sweepd wraps this package in a binary; cmd/sweepctl is the
 // client. See docs/SERVICE.md.
@@ -235,8 +234,8 @@ func (s *Service) parse(req CellRequest) (*cellSpec, error) {
 	}
 	// One exp.Context per request: it carries the cell's identity knobs
 	// and the matrix-cell machinery (panic isolation, CellTimeout,
-	// chaos); the expensive state (compile cache, trace tapes) is
-	// process-wide and shared behind it.
+	// chaos); the expensive state, the compile cache, is process-wide
+	// and shared behind it.
 	ec := &exp.Context{
 		Params:      params,
 		Scale:       scale,

@@ -42,7 +42,7 @@ func quietRun(t *testing.T, w workloads.Workload, k arch.Kind, p config.Params, 
 	}
 	var src trace.Source
 	if profile != nil {
-		src = trace.NewShared(*profile, seed)
+		src = trace.New(*profile, seed)
 	}
 	res, err := core.RunCompiled(cres, k, p, src, nil)
 	if err != nil {

@@ -18,13 +18,6 @@ func NewCursor(src Source) *Cursor {
 	return &Cursor{src: src}
 }
 
-// Reset rewinds to the start of the timeline.
-func (c *Cursor) Reset() {
-	c.src.Reset()
-	c.remaining = 0
-	c.power = 0
-}
-
 func (c *Cursor) refill() {
 	for c.remaining <= 0 {
 		c.remaining, c.power = c.src.Next()

@@ -1,9 +1,8 @@
 package trace
 
 // Boundary coverage for the cursor primitives the batched-accounting
-// engine leans on: zero-length and segment-spanning harvest intervals,
-// the segment-remaining window, and tape replays standing in for their
-// original sources.
+// engine leans on: zero-length and segment-spanning harvest intervals
+// and the segment-remaining window.
 
 import (
 	"testing"
@@ -75,56 +74,5 @@ func TestChargeUntilAlreadyCharged(t *testing.T) {
 	}
 	if led.Sleep != 0 {
 		t.Error("no time passed but sleep energy was charged")
-	}
-}
-
-// TestTapeReplayMatchesSource proves NewShared timelines are segment-for-
-// segment identical to fresh sources, including across concurrent
-// replays that interleave lazy materialization.
-func TestTapeReplayMatchesSource(t *testing.T) {
-	fresh := New(RFHome, 42)
-	replay := NewShared(RFHome, 42)
-	for i := 0; i < 10_000; i++ {
-		fd, fp := fresh.Next()
-		rd, rp := replay.Next()
-		if fd != rd || fp != rp {
-			t.Fatalf("segment %d: fresh (%d, %g) != replay (%d, %g)", i, fd, fp, rd, rp)
-		}
-	}
-	// A second replay starts over at the beginning.
-	again := NewShared(RFHome, 42)
-	fresh.Reset()
-	for i := 0; i < 100; i++ {
-		fd, fp := fresh.Next()
-		rd, rp := again.Next()
-		if fd != rd || fp != rp {
-			t.Fatalf("second replay diverges at segment %d", i)
-		}
-	}
-}
-
-func TestTapeConcurrentReplays(t *testing.T) {
-	tape := NewTape(New(RFOffice, 9))
-	const n = 8
-	done := make(chan []float64, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			r := tape.Replay()
-			var powers []float64
-			for j := 0; j < 2000; j++ {
-				_, p := r.Next()
-				powers = append(powers, p)
-			}
-			done <- powers
-		}()
-	}
-	first := <-done
-	for i := 1; i < n; i++ {
-		got := <-done
-		for j := range first {
-			if got[j] != first[j] {
-				t.Fatalf("replayer %d diverges at segment %d", i, j)
-			}
-		}
 	}
 }

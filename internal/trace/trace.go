@@ -66,22 +66,52 @@ func New(p Profile, seed int64) Source {
 	switch p {
 	case RFHome:
 		// Home RF: sparse, longer bursts from a nearby transmitter.
-		return newRF("RFHome", seed, rfParams{
+		return &rf{name: "RFHome", stream: stream{seed: seed}, p: rfParams{
 			meanOnNs: 2_000_000, meanOffNs: 5_000_000,
 			pMin: 0.4e-3, pMax: 1.6e-3, idle: 6e-6,
-		})
+		}}
 	case RFOffice:
 		// Office RF: denser but weaker bursts from many sources.
-		return newRF("RFOffice", seed, rfParams{
+		return &rf{name: "RFOffice", stream: stream{seed: seed}, p: rfParams{
 			meanOnNs: 900_000, meanOffNs: 2_200_000,
 			pMin: 0.3e-3, pMax: 1.2e-3, idle: 8e-6,
-		})
+		}}
 	case Solar:
-		return &solar{seed: seed, rng: rand.New(rand.NewSource(seed))}
+		return &solar{stream: stream{seed: seed}}
 	case Thermal:
-		return &thermal{seed: seed, rng: rand.New(rand.NewSource(seed))}
+		return &thermal{stream{seed: seed}}
 	}
 	panic("trace: unknown profile " + p.String())
+}
+
+// NewShared returns New(p, seed).
+//
+// Deprecated: use New. A timeline is a pure function of (profile, seed),
+// so there is no shared copy to return.
+func NewShared(p Profile, seed int64) Source { return New(p, seed) }
+
+// FlushSharedTapes does nothing.
+//
+// Deprecated: no cache of timelines is kept, so there is nothing to
+// flush.
+func FlushSharedTapes() {}
+
+// stream is a generator's random sequence, seeded from seed on the first
+// draw after construction or after a Reset clears rng. Seeding math/rand
+// costs about 12 µs, far more than generating a run's segments, and
+// NewCursor resets every source before its first segment, so seeding in
+// the constructor as well would pay it twice.
+type stream struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// rand returns the generator, seeding it on the first draw.
+func (s *stream) rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
 }
 
 // rfParams parameterizes the bursty RF generator.
@@ -94,23 +124,16 @@ type rfParams struct {
 }
 
 type rf struct {
+	stream
 	name string
-	seed int64
 	p    rfParams
-	rng  *rand.Rand
 	on   bool
-}
-
-func newRF(name string, seed int64, p rfParams) *rf {
-	s := &rf{name: name, seed: seed, p: p}
-	s.Reset()
-	return s
 }
 
 func (s *rf) Name() string { return s.name }
 
 func (s *rf) Reset() {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng = nil
 	s.on = false
 }
 
@@ -125,26 +148,26 @@ func expDur(rng *rand.Rand, mean float64) int64 {
 }
 
 func (s *rf) Next() (int64, float64) {
+	rng := s.rand()
 	s.on = !s.on
 	if s.on {
-		dur := expDur(s.rng, s.p.meanOnNs)
-		pow := s.p.pMin + s.rng.Float64()*(s.p.pMax-s.p.pMin)
+		dur := expDur(rng, s.p.meanOnNs)
+		pow := s.p.pMin + rng.Float64()*(s.p.pMax-s.p.pMin)
 		return dur, pow
 	}
-	return expDur(s.rng, s.p.meanOffNs), s.p.idle
+	return expDur(rng, s.p.meanOffNs), s.p.idle
 }
 
 // solar varies slowly (cloud shadowing) around a healthy mean: segments of
 // a few ms whose power follows a slow sinusoid plus noise.
 type solar struct {
-	seed int64
-	rng  *rand.Rand
-	t    float64
+	stream
+	t float64
 }
 
 func (s *solar) Name() string { return "solar" }
 func (s *solar) Reset() {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng = nil
 	s.t = 0
 }
 
@@ -153,7 +176,7 @@ func (s *solar) Next() (int64, float64) {
 	s.t += segNs
 	base := 0.55e-3
 	swing := 0.25e-3 * math.Sin(2*math.Pi*s.t/(500*segNs))
-	noise := (s.rng.Float64() - 0.5) * 0.1e-3
+	noise := (s.rand().Float64() - 0.5) * 0.1e-3
 	p := base + swing + noise
 	if p < 0.05e-3 {
 		p = 0.05e-3
@@ -162,16 +185,13 @@ func (s *solar) Next() (int64, float64) {
 }
 
 // thermal is a weak, nearly constant source (body-heat TEG).
-type thermal struct {
-	seed int64
-	rng  *rand.Rand
-}
+type thermal struct{ stream }
 
 func (s *thermal) Name() string { return "thermal" }
-func (s *thermal) Reset()       { s.rng = rand.New(rand.NewSource(s.seed)) }
+func (s *thermal) Reset()       { s.rng = nil }
 
 func (s *thermal) Next() (int64, float64) {
-	return 5_000_000, 0.40e-3 + (s.rng.Float64()-0.5)*0.02e-3
+	return 5_000_000, 0.40e-3 + (s.rand().Float64()-0.5)*0.02e-3
 }
 
 // Constant is an always-on source, useful for tests and for modelling a

@@ -28,9 +28,8 @@ import (
 type lib struct {
 	k *kernel
 
-	memset  *ir.Function
-	fold    *ir.Function
-	clampFn *ir.Function
+	memset *ir.Function
+	fold   *ir.Function
 }
 
 func newLib(k *kernel) *lib { return &lib{k: k} }
@@ -86,28 +85,6 @@ func (l *lib) Fold() *ir.Function {
 	exit.Mov(R0, R4)
 	exit.Ret()
 	l.fold = f
-	return f
-}
-
-// Clamp returns lib_clamp(x=R0, lo=R1, hi=R2) -> R0.
-func (l *lib) Clamp() *ir.Function {
-	if l.clampFn != nil {
-		return l.clampFn
-	}
-	f := l.k.p.NewFunc("lib_clamp")
-	en := f.Entry()
-	lo := f.NewBlock("lo")
-	hiChk := f.NewBlock("hichk")
-	hi := f.NewBlock("hi")
-	out := f.NewBlock("out")
-	en.Blt(R0, R1, lo, hiChk)
-	lo.Mov(R0, R1)
-	lo.Jmp(out)
-	hiChk.Blt(R2, R0, hi, out)
-	hi.Mov(R0, R2)
-	hi.Jmp(out)
-	out.Ret()
-	l.clampFn = f
 	return f
 }
 

@@ -129,19 +129,6 @@ func (l *Loop) Close(on *ir.Block, step int64) {
 	on.Jmp(l.Head)
 }
 
-// finish appends the standard epilogue to `last`: fold `acc` into the
-// checksum word and halt. Every kernel ends through here so differential
-// tests have a common observable.
-func (k *kernel) finish(last *ir.Block, acc isa.Reg) {
-	tmp := R14
-	if acc == tmp {
-		tmp = R13
-	}
-	last.MovI(tmp, k.check)
-	last.St(tmp, 0, acc)
-	last.Halt()
-}
-
 var registry []Workload
 
 func register(name, suite string, build func(scale int) *ir.Program) {
