@@ -93,8 +93,11 @@ func main() {
 		"cells_loaded", st.Disk.Loaded,
 		"engine", sim.EngineVersion)
 
-	// First SIGINT/SIGTERM drains gracefully; a second one kills the
-	// process via the restored default handler.
+	// The first SIGINT/SIGTERM shuts down gracefully: Shutdown closes the
+	// listener, so a coordinator's next lease meets a refused connection
+	// and is re-issued elsewhere, while in-flight requests get the grace
+	// to finish. A second signal kills the process via the restored
+	// default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -106,10 +109,6 @@ func main() {
 			fail("server failed", "err", err)
 		}
 	case <-ctx.Done():
-		// Drain first: /healthz flips to 503 and new leases are refused,
-		// so coordinators re-route while in-flight requests finish under
-		// the shutdown grace.
-		svc.StartDrain()
 		log.Info("shutting down", "grace", obs.ShutdownGrace)
 		sctx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
 		defer cancel()

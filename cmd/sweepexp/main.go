@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/config"
@@ -270,7 +269,7 @@ func main() {
 	if *listen != "" {
 		tracker := obs.NewCampaignTracker(log)
 		ctx.Tracker = tracker
-		stopWatchdog := tracker.StartWatchdog(2*time.Second, 4)
+		stopWatchdog := tracker.StartWatchdog()
 		defer stopWatchdog()
 		// The context's snapshot carries its store's counters, the
 		// journal's load counts among them.

@@ -6,12 +6,12 @@
 //
 //	sweepsim -bench sha -scheme sweep-eb -trace rfoffice
 //	sweepsim -bench dijkstra -scheme nvp -trace none
-//	sweepsim -bench sha -scheme sweep-eb -tracefile out.jsonl -chrometrace out.trace.json
+//	sweepsim -bench sha -scheme sweep-eb -tracefile out.jsonl
 //	sweepsim -bench sha -metrics - -pprof prof
 //	sweepsim -list
 //
 // -tracefile records the run's telemetry events as JSONL (one event per
-// line; see docs/TELEMETRY.md); -chrometrace records the same stream in
+// line; see docs/TELEMETRY.md); `sweeptrace -chrome` converts the file to
 // Chrome trace_event format, loadable in Perfetto or chrome://tracing.
 // -metrics writes the run's metrics snapshot as text ("-" for stdout).
 // -pprof <prefix> writes <prefix>.cpu.pb.gz and <prefix>.mem.pb.gz for
@@ -73,7 +73,6 @@ func main() {
 	capNF := flag.Float64("cap", 470, "capacitor size in nF")
 	cacheKB := flag.Int("cache", 4, "cache size in kB")
 	tracefile := flag.String("tracefile", "", "write telemetry events as JSONL to this file")
-	chrometrace := flag.String("chrometrace", "", "write telemetry events as a Chrome/Perfetto trace to this file")
 	metricsFile := flag.String("metrics", "", "write the metrics snapshot as text to this file ('-' = stdout)")
 	pprofPrefix := flag.String("pprof", "", "write <prefix>.cpu.pb.gz and <prefix>.mem.pb.gz profiles")
 	paramsFile := flag.String("params", "", "JSON file of config.Params overrides (validated before the run)")
@@ -177,25 +176,14 @@ func main() {
 		}()
 	}
 
-	var sinks telemetry.MultiSink
-	var sinkFiles []*os.File
-	addSink := func(path string, mk func(f *os.File) telemetry.Sink) {
-		f, err := os.Create(path)
+	var tr *telemetry.Tracer
+	var traceFile *os.File
+	if *tracefile != "" {
+		traceFile, err = os.Create(*tracefile)
 		if err != nil {
 			fail("%v", err)
 		}
-		sinkFiles = append(sinkFiles, f)
-		sinks = append(sinks, mk(f))
-	}
-	if *tracefile != "" {
-		addSink(*tracefile, func(f *os.File) telemetry.Sink { return telemetry.NewJSONLSink(f) })
-	}
-	if *chrometrace != "" {
-		addSink(*chrometrace, func(f *os.File) telemetry.Sink { return telemetry.NewChromeSink(f) })
-	}
-	var tr *telemetry.Tracer
-	if len(sinks) > 0 {
-		tr = telemetry.NewTracer(sinks, 0)
+		tr = telemetry.NewTracer(telemetry.NewJSONLSink(traceFile), 0)
 	}
 
 	// Ctrl-C / SIGTERM (or -timeout) abort the simulation at its next
@@ -214,8 +202,8 @@ func main() {
 	if cerr := tr.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	for _, f := range sinkFiles {
-		if cerr := f.Close(); cerr != nil && err == nil {
+	if traceFile != nil {
+		if cerr := traceFile.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}

@@ -19,8 +19,8 @@
 //     with exponentially growing cooldowns so its lanes stop burning
 //     dispatches.
 //   - Worker hang / SIGSTOP: the lease TTL expires, the coordinator
-//     abandons the lease (the worker aborts the simulation at its own
-//     copy of the TTL) and re-issues it elsewhere.
+//     abandons the lease (closing the connection cancels the worker's
+//     request, and with it the simulation) and re-issues it elsewhere.
 //   - Straggler: once enough cells have completed to trust the rolling
 //     p95 (obs.CampaignTracker's latency window), any cell in flight
 //     longer than HedgeK×p95 is hedged — dispatched a second time to
@@ -83,7 +83,7 @@ type Config struct {
 	// the single merged result set (callers own Close).
 	MergeJournal *journal.Journal
 	// Tracker follows the campaign for /progress; nil gets a private
-	// tracker (the hedger needs its latency window regardless).
+	// tracker (the straggler scan needs its latency window regardless).
 	Tracker *obs.CampaignTracker
 	Log     *slog.Logger
 }
@@ -173,7 +173,8 @@ const (
 	benchBase = 250 * time.Millisecond
 	benchCap  = 5 * time.Second
 
-	// hedgeInterval is the straggler-scan period.
+	// hedgeInterval is the watch loop's period: how often it checks the
+	// stall bound and scans for stragglers.
 	hedgeInterval = 100 * time.Millisecond
 	// retryBase and retryCap shape a cell's backoff after a compute
 	// failure, with full jitter over the upper half.
@@ -253,9 +254,8 @@ func (c *Coordinator) Run(ctx context.Context, reqs []service.CellRequest) (*Rep
 			}(wi, laneID)
 		}
 	}
-	wg.Add(2)
-	go func() { defer wg.Done(); c.hedger(runCtx) }()
-	go func() { defer wg.Done(); c.stallMonitor(runCtx) }()
+	wg.Add(1)
+	go func() { defer wg.Done(); c.watch(runCtx) }()
 
 	select {
 	case <-c.doneCh:
@@ -400,7 +400,6 @@ func (c *Coordinator) dispatch(ctx context.Context, wi, laneID int, t *task) {
 	resp, err := c.clients[wi].Lease(lctx, service.LeaseRequest{
 		LeaseID: leaseID,
 		Attempt: attempt,
-		TTLMs:   c.cfg.LeaseTTL.Milliseconds(),
 		Cell:    t.req,
 	})
 
@@ -467,7 +466,7 @@ func (c *Coordinator) classify(wi, laneID int, t *task, lctx context.Context, er
 		c.lastBeat = time.Now()
 		c.quarantineLocked(laneID, t, err)
 	case errors.As(err, &se) && (se.Status == 502 || se.Status == 503 || se.Status == 504):
-		// Draining worker or gateway hiccup: transient, not the cell's
+		// Overloaded worker or a gateway: transient, not the cell's
 		// fault. Route around.
 		c.lastBeat = time.Now()
 		c.rep.Reissues++
@@ -594,11 +593,14 @@ func (c *Coordinator) fail(err error) {
 	c.mu.Unlock()
 }
 
-// hedger is the straggler scan: once the tracker's straggler rule is
-// armed, any cell with exactly one lease in flight for longer than
-// SlowLimit(HedgeK) is re-enqueued, so another lane races the straggler
-// and the first completion cancels the loser.
-func (c *Coordinator) hedger(ctx context.Context) {
+// watch is the coordinator's one timer loop. Every hedgeInterval it
+// first fails the campaign when no worker has answered anything for
+// StallTimeout — the every-worker-is-gone bound that keeps reissue
+// loops from spinning forever. Then it scans for stragglers: once the
+// tracker's straggler rule is armed, any cell with exactly one lease in
+// flight for longer than SlowLimit(HedgeK) is re-enqueued, so another
+// lane races the straggler and the first completion cancels the loser.
+func (c *Coordinator) watch(ctx context.Context) {
 	tick := time.NewTicker(hedgeInterval)
 	defer tick.Stop()
 	for {
@@ -608,6 +610,13 @@ func (c *Coordinator) hedger(ctx context.Context) {
 		case <-c.doneCh:
 			return
 		case <-tick.C:
+		}
+		c.mu.Lock()
+		stalled := time.Since(c.lastBeat) > c.cfg.StallTimeout
+		c.mu.Unlock()
+		if stalled {
+			c.fail(fmt.Errorf("dist: campaign stalled — no worker response in %v", c.cfg.StallTimeout))
+			return
 		}
 		limit, armed := c.cfg.Tracker.SlowLimit(c.cfg.HedgeK)
 		if !armed {
@@ -631,29 +640,5 @@ func (c *Coordinator) hedger(ctx context.Context) {
 			c.enqueue(t, 0)
 		}
 		c.mu.Unlock()
-	}
-}
-
-// stallMonitor fails the campaign when no worker has answered anything
-// for StallTimeout — the every-worker-is-gone bound that keeps reissue
-// loops from spinning forever.
-func (c *Coordinator) stallMonitor(ctx context.Context) {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-c.doneCh:
-			return
-		case <-tick.C:
-		}
-		c.mu.Lock()
-		stalled := time.Since(c.lastBeat) > c.cfg.StallTimeout
-		c.mu.Unlock()
-		if stalled {
-			c.fail(fmt.Errorf("dist: campaign stalled — no worker response in %v", c.cfg.StallTimeout))
-			return
-		}
 	}
 }

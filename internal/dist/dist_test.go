@@ -400,7 +400,8 @@ func TestDistQuarantine(t *testing.T) {
 
 // TestDistStallFails: when no worker answers at all, the campaign fails
 // on the stall bound instead of re-issuing leases until the caller's
-// deadline.
+// deadline, and soon after the bound: the watch loop checks it every
+// hedgeInterval, so a bound below a second holds.
 func TestDistStallFails(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // every lease now fails to connect
@@ -413,12 +414,17 @@ func TestDistStallFails(t *testing.T) {
 	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	start := time.Now()
 	rep, err := coord.Run(ctx, testMatrix.Requests())
+	took := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "campaign stalled") {
 		t.Fatalf("campaign with no live worker returned %v, want the stall error", err)
 	}
 	if len(rep.Completed) != 0 {
 		t.Fatalf("completed %d cells with no live worker", len(rep.Completed))
+	}
+	if took > 3*cfg.StallTimeout {
+		t.Fatalf("campaign stalled after %v, want within 3× the %v bound", took, cfg.StallTimeout)
 	}
 }
 
@@ -465,8 +471,8 @@ func TestDistDuplicateCompletion(t *testing.T) {
 }
 
 // TestDistNoGoroutineLeak: a completed campaign and a canceled one both
-// return every goroutine — lanes, hedger, stall monitor, and canceled
-// in-flight leases included.
+// return every goroutine — lanes, the watch loop, and canceled in-flight
+// leases included.
 func TestDistNoGoroutineLeak(t *testing.T) {
 	reqs := MatrixSpec{
 		Workloads: []string{"sha"}, Schemes: []string{"NVP", "Sweep-EmptyBit"},

@@ -82,11 +82,13 @@ type Context struct {
 	// internal/obs and docs/OBSERVABILITY.md.
 	Tracker *obs.CampaignTracker
 	// Metrics, when non-nil, accumulates every simulated run's metrics
-	// snapshot across the (parallel) experiment matrices. A cell the
-	// store served from memory or the journal, or one served from an
-	// equivalent cell's record or from its outage-free twin's, was not
-	// simulated and contributes nothing; the store's counters,
-	// exp.equivalent_hits and exp.twin_hits say how many were.
+	// snapshot across the (parallel) experiment matrices. Each matrix
+	// folds its runs in job order when it ends, so the float gauges' sums
+	// do not depend on which cell finished first. A cell the store served
+	// from memory or the journal, or one served from an equivalent cell's
+	// record or from its outage-free twin's, was not simulated and
+	// contributes nothing; the store's counters, exp.equivalent_hits and
+	// exp.twin_hits say how many were.
 	Metrics *telemetry.Snapshot
 	// TraceDir, when set, records one JSONL telemetry stream per
 	// simulated run into that directory.
@@ -439,11 +441,12 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	// Fixed-size worker pool: exactly min(NumCPU, len(jobs)) goroutines
 	// exist at any moment, however large the matrix — the alternative
 	// (spawn per job, gate on a semaphore inside) stacks up one idle
-	// goroutine per queued cell. Results and errors land in indexed
-	// slots, so no mutex and no result reordering.
+	// goroutine per queued cell. Results, errors and which jobs simulated
+	// land in indexed slots, so no mutex and no result reordering.
 	st := c.store()
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
+	simulated := make([]bool, len(jobs))
 	workers := min(runtime.NumCPU(), len(jobs))
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
@@ -479,6 +482,7 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 					if err != nil {
 						return nil, err
 					}
+					simulated[idx] = true
 					return journal.FromResult(res), nil
 				})
 				if err != nil {
@@ -516,12 +520,29 @@ feed:
 	close(jobCh)
 	wg.Wait()
 
+	// The simulated runs' metrics fold in job order. A result is its
+	// record's copy, which carries every field Metrics reads; a run whose
+	// record did not become durable has none and is not counted.
+	var real []error
+	if c.Metrics != nil {
+		c.metricsMu.Lock()
+		for i, ran := range simulated {
+			if !ran || results[i] == nil {
+				continue
+			}
+			if err := c.Metrics.Merge(results[i].Metrics()); err != nil {
+				real = append(real, fmt.Errorf("exp: metrics: %w", err))
+				break
+			}
+		}
+		c.metricsMu.Unlock()
+	}
+
 	// Error assembly: a cancelled run reports the cancellation (wrapping
 	// ctx.Err() so errors.Is works) plus any genuine cell failures;
 	// otherwise every failed cell is reported, in job order, while the
 	// healthy cells' results stand — and, with a journal, are already
 	// durable, so the matrix is resumable.
-	var real []error
 	interrupted := 0
 	for _, err := range errs {
 		if err == nil {
@@ -583,8 +604,7 @@ func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, pro
 }
 
 // runJob executes one (workload, scheme) simulation, recording per-run
-// telemetry and folding the run's metrics into the context accumulator
-// when those are enabled.
+// telemetry when TraceDir is set.
 func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind, p config.Params, src trace.Source) (*sim.Result, error) {
 	var tr *telemetry.Tracer
 	var traceFile *os.File
@@ -619,14 +639,6 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 	if err != nil {
 		return nil, err
 	}
-	if c.Metrics != nil {
-		snap := res.Metrics()
-		c.metricsMu.Lock()
-		defer c.metricsMu.Unlock()
-		if err := c.Metrics.Merge(snap); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -636,7 +648,8 @@ func (c *Context) runJob(ctx context.Context, w workloads.Workload, k arch.Kind,
 // record) and exp.twin_hits (those served from an outage-free twin's),
 // and with a chaos injector's chaos.injected_panics and
 // chaos.injected_cancels. It is safe to call concurrently with a running
-// matrix — the live /metrics endpoint scrapes it mid-campaign. An empty
+// matrix — the live /metrics endpoint scrapes it mid-campaign, and then
+// sees the simulation metrics as of the last matrix that ended. An empty
 // snapshot when metrics accumulation is off.
 func (c *Context) MetricsSnapshot() *telemetry.Snapshot {
 	out := telemetry.NewSnapshot()

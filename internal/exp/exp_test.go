@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -393,6 +394,42 @@ func TestContextSimulatesEachCellOnce(t *testing.T) {
 				checkServedRecords(t, shared, tc.sets(shared), served, twins)
 			}
 		})
+	}
+}
+
+// TestMatrixMetricsFoldInJobOrder: a matrix folds its simulated runs'
+// metrics in job order when it ends, so the float gauges are one sum
+// whichever cell finished first: bit for bit the fold of m.Results in
+// workload, kind and seed order.
+func TestMatrixMetricsFoldInJobOrder(t *testing.T) {
+	c := quickCtx()
+	c.Metrics = telemetry.NewSnapshot()
+	pr := trace.RFOffice
+	const seeds = 2
+	m, err := c.runMatrix(arch.AllKinds(), &pr, c.Params, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := telemetry.NewSnapshot()
+	for _, name := range m.Names {
+		for _, k := range withNVP(m.Kinds) {
+			for _, r := range m.Results[cell{name, k}] {
+				if err := want.Merge(r.Metrics()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if runs, jobs := c.Metrics.Counters["sim.runs"], uint64(len(m.Names)*len(m.Kinds)*seeds); runs != jobs {
+		t.Fatalf("sim.runs %d, want every one of the %d jobs simulated", runs, jobs)
+	}
+	if len(c.Metrics.Gauges) != len(want.Gauges) {
+		t.Fatalf("%d gauges, want %d", len(c.Metrics.Gauges), len(want.Gauges))
+	}
+	for name, w := range want.Gauges {
+		if g := c.Metrics.Gauges[name]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("gauge %s = %v, want the job-order fold %v", name, g, w)
+		}
 	}
 }
 

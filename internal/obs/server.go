@@ -63,22 +63,6 @@ func NewRunID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Health states a process can report on /healthz. Anything but
-// HealthOK answers 503, so a load balancer routes around a worker that
-// is shutting down without parsing the body. A cell that fails is not a
-// health state: it fails its own requests, and the campaign coordinator
-// decides what to do about it.
-const (
-	HealthOK       = "ok"
-	HealthDraining = "draining" // shutting down; not accepting new work
-)
-
-// Health is the /healthz verdict.
-type Health struct {
-	State  string `json:"state"` // HealthOK or HealthDraining
-	Reason string `json:"reason,omitempty"`
-}
-
 // Server wires the introspection endpoints over a tracker and an
 // optional extra metrics source (the experiment context's accumulated
 // simulation metrics). Tracker and Extra may both be nil; every
@@ -89,34 +73,17 @@ type Server struct {
 	// Extra, when non-nil, returns additional metrics to merge into
 	// /metrics (called per scrape; must be safe for concurrent use).
 	Extra func() *telemetry.Snapshot
-	// Health, when non-nil, decides the /healthz verdict per probe
-	// (must be safe for concurrent use). nil always answers ok — a
-	// plain campaign binary is healthy for exactly as long as it runs.
-	Health func() Health
-	Log    *slog.Logger
+	Log   *slog.Logger
 }
 
 // Handler returns the introspection mux: /metrics, /progress, /healthz,
-// /runinfo.
+// /runinfo. /healthz is a liveness probe: it answers 200 "ok" for as
+// long as the process serves.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := Health{State: HealthOK}
-		if s.Health != nil {
-			h = s.Health()
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if h.State != HealthOK && h.State != "" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		if h.State == "" {
-			h.State = HealthOK
-		}
-		if h.Reason != "" {
-			fmt.Fprintf(w, "%s: %s\n", h.State, h.Reason)
-		} else {
-			fmt.Fprintln(w, h.State)
-		}
+		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /runinfo", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, s.Info)

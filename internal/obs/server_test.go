@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -73,41 +72,6 @@ func TestServerHealthz(t *testing.T) {
 	code, body := get(t, ts.URL+"/healthz")
 	if code != http.StatusOK || strings.TrimSpace(body) != "ok" {
 		t.Fatalf("healthz: %d %q", code, body)
-	}
-}
-
-// TestServerHealthzStates: a Health hook turns /healthz into a router
-// signal — draining answers 503 with the state and reason in the body,
-// ok stays 200, and a nil hook is always ok.
-func TestServerHealthzStates(t *testing.T) {
-	var (
-		mu sync.Mutex
-		h  Health
-	)
-	srv := &Server{
-		Info:   NewRunInfo("sweeptest", "engine-test"),
-		Health: func() Health { mu.Lock(); defer mu.Unlock(); return h },
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	for _, tc := range []struct {
-		health   Health
-		wantCode int
-		wantBody string
-	}{
-		{Health{State: HealthOK}, http.StatusOK, "ok"},
-		{Health{}, http.StatusOK, "ok"}, // zero value reads ok
-		{Health{State: HealthDraining, Reason: "shutting down"}, http.StatusServiceUnavailable, "draining: shutting down"},
-		{Health{State: HealthDraining}, http.StatusServiceUnavailable, "draining"},
-	} {
-		mu.Lock()
-		h = tc.health
-		mu.Unlock()
-		code, body := get(t, ts.URL+"/healthz")
-		if code != tc.wantCode || strings.TrimSpace(body) != tc.wantBody {
-			t.Errorf("healthz for %+v: got %d %q, want %d %q", tc.health, code, body, tc.wantCode, tc.wantBody)
-		}
 	}
 }
 

@@ -451,21 +451,22 @@ func (t *CampaignTracker) Metrics() *telemetry.Snapshot {
 	return s
 }
 
-// StartWatchdog begins the slow-cell watchdog: every interval it checks
-// each running cell against SlowLimit(k) and logs one warning per
-// offender. Returns a stop function; both are nil-safe.
-func (t *CampaignTracker) StartWatchdog(interval time.Duration, k float64) (stop func()) {
+// watchdogInterval and watchdogK are the slow-cell watchdog's period
+// and straggler factor.
+const (
+	watchdogInterval = 2 * time.Second
+	watchdogK        = 4
+)
+
+// StartWatchdog begins the slow-cell watchdog: every watchdogInterval it
+// checks each running cell against SlowLimit(watchdogK) and logs one
+// warning per offender. Returns a stop function; both are nil-safe.
+func (t *CampaignTracker) StartWatchdog() (stop func()) {
 	if t == nil {
 		return func() {}
 	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	if k <= 0 {
-		k = 4
-	}
 	done := make(chan struct{})
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(watchdogInterval)
 	go func() {
 		defer tick.Stop()
 		for {
@@ -473,7 +474,7 @@ func (t *CampaignTracker) StartWatchdog(interval time.Duration, k float64) (stop
 			case <-done:
 				return
 			case <-tick.C:
-				t.sniff(k)
+				t.sniff()
 			}
 		}
 	}()
@@ -512,10 +513,10 @@ func (t *CampaignTracker) slowLimit(k float64) (time.Duration, bool) {
 }
 
 // sniff is one watchdog pass.
-func (t *CampaignTracker) sniff(k float64) {
+func (t *CampaignTracker) sniff() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	limit, armed := t.slowLimit(k)
+	limit, armed := t.slowLimit(watchdogK)
 	if !armed {
 		return
 	}
@@ -531,7 +532,7 @@ func (t *CampaignTracker) sniff(k float64) {
 				"workload", c.meta.Workload, "scheme", c.meta.Scheme,
 				"profile", c.meta.Profile, "worker", c.worker,
 				"elapsed", el.Round(time.Millisecond),
-				"limit", limit.Round(time.Millisecond), "k", k)
+				"limit", limit.Round(time.Millisecond), "k", watchdogK)
 		}
 	}
 }

@@ -197,7 +197,7 @@ func TestTrackerNilSafe(t *testing.T) {
 	if m := tr.Metrics(); len(m.Counters) != 0 {
 		t.Fatalf("nil Metrics: %+v", m)
 	}
-	if stop := tr.StartWatchdog(time.Second, 4); stop == nil {
+	if stop := tr.StartWatchdog(); stop == nil {
 		t.Fatal("nil watchdog stop is nil")
 	} else {
 		stop()
@@ -284,7 +284,7 @@ func TestTrackerHooksNilZeroAlloc(t *testing.T) {
 }
 
 // TestWatchdogFlagsSlowCell exercises one watchdog pass directly: a cell
-// running k× beyond the rolling p95 is logged exactly once.
+// running watchdogK× beyond the rolling p95 is logged exactly once.
 func TestWatchdogFlagsSlowCell(t *testing.T) {
 	clk := newFakeClock()
 	var buf bytes.Buffer
@@ -307,12 +307,12 @@ func TestWatchdogFlagsSlowCell(t *testing.T) {
 	tr.Start(1, minSamples)
 	clk.advance(time.Second)
 
-	tr.sniff(4)
+	tr.sniff()
 	if out := buf.String(); !strings.Contains(out, "slow cell") || !strings.Contains(out, "workload=w") {
 		t.Fatalf("watchdog log missing: %q", out)
 	}
 	buf.Reset()
-	tr.sniff(4)
+	tr.sniff()
 	if out := buf.String(); out != "" {
 		t.Fatalf("watchdog re-warned: %q", out)
 	}

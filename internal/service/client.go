@@ -72,8 +72,9 @@ func Jitter(d time.Duration) time.Duration {
 // StatusError is a non-200 response from the server, carrying the
 // status code so callers can tell a client fault (400: fix the request)
 // from a simulation failure (500: retrying the cell may help) from a
-// routing condition (503: the worker is draining — go elsewhere). The
-// distributed coordinator's retry/quarantine policy keys on this.
+// routing condition (503: an overloaded worker or gateway — go
+// elsewhere). The distributed coordinator's retry/quarantine policy
+// keys on this.
 type StatusError struct {
 	Status int
 	Method string
@@ -86,8 +87,7 @@ func (e *StatusError) Error() string {
 }
 
 // retryableStatus reports whether a status code marks a transient
-// server condition: gateway hiccups and a draining/overloaded worker
-// (503 is what /healthz and the lease endpoint return while draining).
+// server condition: a gateway hiccup or an overloaded worker.
 func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway ||
 		code == http.StatusServiceUnavailable ||
@@ -286,8 +286,8 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Health pings /healthz once. A draining worker answers 503, which
-// surfaces here as a *StatusError.
+// Health pings /healthz once; any answer but 200 surfaces here as a
+// *StatusError.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, "/healthz", nil, nil)
 }

@@ -40,7 +40,7 @@ func fastRetry() service.RetryPolicy {
 	return service.RetryPolicy{Attempts: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond}
 }
 
-// TestClientRetriesTransient: 503s (a draining worker, a gateway
+// TestClientRetriesTransient: 503s (an overloaded worker, a gateway
 // hiccup) are retried with backoff until an attempt succeeds.
 func TestClientRetriesTransient(t *testing.T) {
 	ts, hits := countingServer(t, http.StatusServiceUnavailable, http.StatusServiceUnavailable, http.StatusOK)

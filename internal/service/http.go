@@ -13,13 +13,12 @@ import (
 //
 //	POST /v1/cell   one CellRequest  -> CellResponse
 //	POST /v1/cells  []CellRequest    -> []BatchItem (concurrent)
-//	POST /v1/lease  LeaseRequest     -> LeaseResponse (503 while draining)
-//	GET  /v1/stats  -> Stats (store tiers, dedup, counters, health)
+//	POST /v1/lease  LeaseRequest     -> LeaseResponse
+//	GET  /v1/stats  -> Stats (store tiers, dedup, counters)
 //
 // plus the standard introspection endpoints from internal/obs —
-// /healthz (503 while draining), /runinfo, /metrics
-// (Prometheus, including the store's tier counters), /progress
-// (simulating cells) — mounted at the root.
+// /healthz, /runinfo, /metrics (Prometheus, including the store's tier
+// counters), /progress (simulating cells) — mounted at the root.
 
 // maxBodyBytes bounds request bodies, and the response bodies Client
 // reads; a cell request is a few hundred bytes, a cell response about
@@ -67,9 +66,8 @@ func (s *Service) Handler(info obs.RunInfo) http.Handler {
 	// advertises.
 	s.workerID = info.RunID
 	// The obs endpoints serve everything else; its Extra hook merges the
-	// store and service counters into /metrics, and its Health hook turns
-	// /healthz into 503 while draining.
-	obsSrv := &obs.Server{Info: info, Tracker: s.tracker, Extra: s.MetricsSnapshot, Health: s.Health, Log: s.log}
+	// store and service counters into /metrics.
+	obsSrv := &obs.Server{Info: info, Tracker: s.tracker, Extra: s.MetricsSnapshot, Log: s.log}
 	mux.Handle("/", obsSrv.Handler())
 	return mux
 }
@@ -90,17 +88,14 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // writeError maps service errors to status codes: RequestErrors are the
-// client's fault (400); a draining worker answers 503 so coordinators
-// re-route instead of retrying here; a dead request context is 499
-// (client closed, nginx's convention); everything else — simulation
-// failures, durability failures — is a 500.
+// client's fault (400); a dead request context is 499 (client closed,
+// nginx's convention); everything else — simulation failures,
+// durability failures — is a 500.
 func (s *Service) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var re *RequestError
 	switch {
 	case errors.As(err, &re):
 		s.httpError(w, http.StatusBadRequest, re.Error())
-	case errors.Is(err, ErrDraining):
-		s.httpError(w, http.StatusServiceUnavailable, err.Error())
 	case r.Context().Err() != nil:
 		s.httpError(w, 499, err.Error())
 	default:

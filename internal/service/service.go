@@ -125,9 +125,6 @@ type Service struct {
 	// always agree.
 	workerID string
 
-	// draining refuses new leases once shutdown has begun (StartDrain).
-	draining atomic.Bool
-
 	// defaultFP is Table 1's params fingerprint, computed once: the key
 	// of every request that carries no params.
 	defaultFP string
@@ -361,8 +358,6 @@ type Stats struct {
 	// service.bad_requests, service.failures, service.leases), zeros
 	// included; the store's are typed under Store.
 	Counters map[string]uint64 `json:"counters"`
-	// Health mirrors the /healthz verdict so one stats scrape carries it.
-	Health obs.Health `json:"health"`
 }
 
 // Stats snapshots the service.
@@ -370,7 +365,6 @@ func (s *Service) Stats() Stats {
 	return Stats{
 		Store:    s.store.Stats(),
 		Counters: s.counters(),
-		Health:   s.Health(),
 	}
 }
 

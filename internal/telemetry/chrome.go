@@ -159,21 +159,3 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(&tr)
 }
-
-// ChromeSink buffers the full event stream and renders it as a Chrome
-// trace at Close (the format needs the whole stream to pair spans).
-type ChromeSink struct {
-	w      io.Writer
-	events []Event
-}
-
-// NewChromeSink returns a sink that writes a trace_event JSON document
-// to w when closed.
-func NewChromeSink(w io.Writer) *ChromeSink { return &ChromeSink{w: w} }
-
-func (s *ChromeSink) WriteEvents(events []Event) error {
-	s.events = append(s.events, events...)
-	return nil
-}
-
-func (s *ChromeSink) Close() error { return WriteChromeTrace(s.w, s.events) }

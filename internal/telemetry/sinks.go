@@ -28,28 +28,6 @@ type DiscardSink struct{}
 func (DiscardSink) WriteEvents([]Event) error { return nil }
 func (DiscardSink) Close() error              { return nil }
 
-// MultiSink fans every batch out to several sinks.
-type MultiSink []Sink
-
-func (m MultiSink) WriteEvents(events []Event) error {
-	for _, s := range m {
-		if err := s.WriteEvents(events); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m MultiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // JSONLSink streams events as one JSON object per line. The encoding is
 // hand-rolled over a reused scratch buffer so an enabled trace does not
 // allocate per event, and field order is fixed so identical runs produce
